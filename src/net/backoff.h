@@ -1,20 +1,15 @@
-// Shared retry timing for the replicated-register robustness layers.
+// Retry timing for the ABD client (net/abd.h).
 //
-// Both transports implement the same bounded-retry discipline — attempt,
-// wait out a bounded exponential backoff window, attempt again, degrade
-// to explicit Unavailable once the budget is spent — but they measure
-// time differently: the simulator counts network polls (deterministic
-// schedule points), the real transport counts wall-clock milliseconds
-// on the monotonic clock. The window arithmetic is identical and easy
-// to get wrong (shift overflow, jitter draw discipline), so it lives
-// here once, audited by tests/net/backoff_test.cpp, and both
-// ReplicatedRegister (sim, polls) and real::RealAbdClient (wall clock,
-// ms) call it with their own unit.
+// The core's attempt → backoff → Unavailable loop draws each window from
+// backoff_window(); the unit is its driver's — SimNet polls (schedule
+// points) for ReplicatedRegister, milliseconds for real::RealAbdClient.
+// The arithmetic is easy to get wrong (shift overflow, jitter draw
+// discipline), so it is audited on its own by tests/net/backoff_test.cpp.
 //
 // Deadline wraps the monotonic clock (std::chrono::steady_clock =
-// CLOCK_MONOTONIC on Linux) for the real path: per-attempt timeouts,
-// epoll_wait budgets, and fault-window arithmetic all compare against
-// Deadline so nothing in src/net/real/ ever touches the wall clock
+// CLOCK_MONOTONIC on Linux) for the socket drivers: per-attempt
+// timeouts, epoll_wait budgets, and fault-window arithmetic all compare
+// against Deadline, so nothing in src/net/real/ touches the wall clock
 // (which can jump) or mixes clock bases.
 #pragma once
 

@@ -1,15 +1,8 @@
-// Simulated stable storage for the crash-recovery replica model.
-//
-// PR 3's SimNet replicas were crash-*stop*: volatile (timestamp, value)
-// state, gone forever at the crash budget. The crash-*recovery* model
-// (Imbs–Mostéfaoui–Perrin–Raynal) instead lets a replica rejoin after a
-// downtime window — which only preserves atomicity if the replica's
-// protocol obeys a durability discipline: the (timestamp, value) pair a
-// replica acknowledges must be on stable storage *before* the ack
-// leaves, and a rejoining replica must reload that stable state and
-// resynchronize from a read quorum before serving again.
-//
-// Two pieces model that here:
+// Simulated stable storage for the crash-recovery replica model
+// (Imbs–Mostéfaoui–Perrin–Raynal): a replica may rejoin after a downtime
+// window, which preserves atomicity only under the durability discipline
+// the ABD core (net/abd.h) follows — persist before ack, and reload plus
+// catch up before serving again. Two pieces model the storage side:
 //
 //   DurableRecord<T>  one replica's stable (ts, value) record for one
 //                     replicated register. persist() is the fsync

@@ -1,102 +1,63 @@
 #include "net/real/client.h"
 
-#include <algorithm>
-
-#include "util/assert.h"
-
 namespace compreg::net::real {
+
+struct RealAbdClient::Io {
+  RealAbdClient& c;
+
+  void broadcast(abd::Kind kind, std::uint64_t op,
+                 const abd::Stamped<std::uint64_t>& req) {
+    const bool store = kind == abd::Kind::kStore;
+    c.want_ = store ? MsgType::kStoreAck : MsgType::kQueryReply;
+    const WireMsg msg{store ? MsgType::kStore : MsgType::kQuery,
+                      static_cast<std::uint32_t>(c.net_.self()), op, req.ts,
+                      req.val};
+    for (int r = 0; r < c.replicas_; ++r) c.net_.send(r, msg);
+  }
+  bool await(std::uint64_t ms) {
+    return c.drain(Deadline::after(std::chrono::milliseconds(ms)));
+  }
+};
 
 RealAbdClient::RealAbdClient(Transport& net, const RealClientConfig& cfg,
                              std::chrono::steady_clock::time_point epoch)
-    : net_(net), cfg_(cfg), epoch_(epoch), jitter_(cfg.jitter_seed) {
-  COMPREG_CHECK(cfg.f >= 1, "need f >= 1 (2f+1 replicas)");
-  jitter_.reseed(cfg.jitter_seed ^
-                 (static_cast<std::uint64_t>(net.self()) * 0x9e3779b9ull));
-}
+    : net_(net),
+      replicas_(cfg.replicas()),
+      epoch_(epoch),
+      core_(cfg.f,
+            abd::RetryPolicy{
+                static_cast<std::uint64_t>(cfg.attempt_timeout.count()),
+                cfg.max_attempts, kBackoffBaseMs, kBackoffCapMs},
+            cfg.jitter_seed, net.self(), stats_) {}
 
-bool RealAbdClient::quorum_phase(bool store, std::uint64_t ts,
-                                 std::uint64_t val, std::vector<Reply>& out) {
-  out.clear();
-  const std::uint64_t op = ++op_seq_;
-  const int n = cfg_.replicas();
-  const MsgType req = store ? MsgType::kStore : MsgType::kQuery;
-  const MsgType want = store ? MsgType::kStoreAck : MsgType::kQueryReply;
-  const auto self = static_cast<std::uint32_t>(net_.self());
-
-  const auto drain_until = [&](const Deadline& deadline) {
-    while (static_cast<int>(out.size()) < cfg_.quorum()) {
-      std::optional<Delivery> d = net_.poll(deadline);
-      if (!d) return false;
-      const WireMsg& m = d->msg;
-      if (m.type != want || m.op != op) continue;  // stale or stray
-      const int replica = d->src;
-      if (replica < 0 || replica >= n) continue;
-      const bool seen =
-          std::any_of(out.begin(), out.end(), [&](const Reply& have) {
-            return have.replica == replica;
-          });
-      if (m.type == MsgType::kStoreAck && ack_hook_) {
-        const auto t = std::chrono::steady_clock::now() - epoch_;
-        ack_hook_(replica, m.ts,
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t)
-                      .count());
-      }
-      if (seen) continue;
-      out.push_back(Reply{replica, m.ts, m.val});
-    }
-    return true;
-  };
-
-  for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
-    if (attempt > 0) ++stats_.retries;
-    for (int r = 0; r < n; ++r) {
-      net_.send(r, WireMsg{req, self, op, ts, val});
-    }
-    if (drain_until(Deadline::after(cfg_.attempt_timeout))) return true;
-    if (attempt + 1 == cfg_.max_attempts) break;
-    // Bounded exponential backoff with deterministic jitter — the same
-    // window arithmetic as the sim client, in milliseconds. The backoff
-    // wait keeps polling, so a straggling quorum short-circuits it.
-    const std::uint64_t window_ms = backoff_window(
-        cfg_.backoff_base_ms, cfg_.backoff_cap_ms, attempt, jitter_);
-    if (drain_until(Deadline::after(std::chrono::milliseconds(window_ms)))) {
-      return true;
+bool RealAbdClient::drain(const Deadline& deadline) {
+  while (!core_.has_quorum()) {
+    const std::optional<Delivery> d = net_.poll(deadline);
+    if (!d) return false;
+    const WireMsg& m = d->msg;
+    if (m.type != want_) continue;  // stray frame
+    const abd::Offer got = core_.offer(m.op, d->src, m.ts, m.val);
+    if (got != abd::Offer::kStale && m.type == MsgType::kStoreAck &&
+        ack_hook_) {
+      const auto t = std::chrono::steady_clock::now() - epoch_;
+      ack_hook_(d->src, m.ts,
+                std::chrono::duration_cast<std::chrono::nanoseconds>(t)
+                    .count());
     }
   }
-  ++stats_.unavailable;
-  return false;
+  return true;
 }
 
 bool RealAbdClient::try_write(std::uint64_t ts, std::uint64_t val) {
-  ++stats_.writes;
-  std::vector<Reply> acks;
-  return quorum_phase(/*store=*/true, ts, val, acks);
+  Io io{*this};
+  return core_.write(io, ts, val);
 }
 
 RealReadResult RealAbdClient::try_read() {
-  ++stats_.reads;
-  std::vector<Reply> replies;
-  if (!quorum_phase(/*store=*/false, 0, 0, replies)) return {};
-  const Reply* best = &replies.front();
-  bool uniform = true;
-  for (const Reply& reply : replies) {
-    if (reply.ts != best->ts) uniform = false;
-    if (reply.ts > best->ts) best = &reply;
-  }
-  const std::uint64_t ts = best->ts;
-  const std::uint64_t val = best->val;
-  if (cfg_.writeback_skip_uniform && uniform) {
-    ++stats_.writeback_skips;
-    return RealReadResult{true, ts, val};
-  }
-  std::vector<Reply> acks;
-  if (!quorum_phase(/*store=*/true, ts, val, acks)) {
-    // The value is not yet known to rest on a majority; returning it
-    // could show a later reader an older value (new-old inversion).
-    return {};
-  }
-  ++stats_.writebacks;
-  return RealReadResult{true, ts, val};
+  Io io{*this};
+  const std::optional<abd::Stamped<std::uint64_t>> got = core_.read(io);
+  if (!got) return {};
+  return RealReadResult{true, got->ts, got->val};
 }
 
 }  // namespace compreg::net::real

@@ -1,68 +1,41 @@
-// Real-transport ABD client: the client half of the protocol in
-// net/replicated_register.h over a Transport, with wall-clock deadlines
-// in place of poll-count budgets.
+// Real-transport ABD client: the socket driver for the client half of
+// the protocol core (net/abd.h), with wall-clock deadlines in place of
+// the simulator's poll budgets.
 //
-// Each quorum phase broadcasts a request to all 2f+1 replicas and
-// collects distinct-replica replies until f+1 have answered or the
-// attempt deadline passes; failed attempts re-broadcast after a bounded
-// exponential backoff window (net/backoff.h — the exact arithmetic the
-// sim client uses, with milliseconds standing in for polls), and the
-// phase degrades to an explicit Unavailable once the attempt budget is
-// spent. The operation id stays fixed across attempts of one logical
-// phase, so straggler replies to an earlier broadcast still count —
-// duplicates are deduped per replica, and the backoff window keeps
-// polling so a late quorum short-circuits the wait.
-//
-// Reads are ABD two-phase: query a quorum, adopt the maximum timestamp,
-// and write that (ts, value) back to a quorum before returning — unless
-// the query replies were uniform at the maximum, in which case the
-// write-back is provably a no-op and is skipped (same rule, and same
-// config knob, as the sim client). A read whose write-back goes
-// Unavailable returns Unavailable: handing the value out without
-// majority cover could expose a new-old inversion to a later reader.
+// The core decides everything protocol-level — op-id fencing, one
+// counted reply per replica, retry and backoff, the read's
+// max-timestamp / write-back choice, Unavailable once the budget is
+// spent. This driver broadcasts WireMsg frames, pumps the Transport
+// until each wait's Deadline (the core's budgets are milliseconds)
+// passes, and feeds each matching frame to the core.
 //
 // Writes are single-writer: the caller owns the timestamp sequence
-// (next_write_ts()); an Unavailable write may still take effect later
-// if its frames landed on a minority, which is why the harness records
-// it as a *pending* operation for the linearizability checker.
+// (next_write_ts()). An Unavailable write may still take effect later
+// if its frames landed on a minority, which is why callers record it
+// as a *pending* operation for the linearizability checker.
 //
-// The ack hook reports every STORE ack (replica id, acked ts, receive
-// time) so the harness's durability auditor can cross-check a killed
-// replica's recovered state against what it acknowledged pre-kill.
+// The ack hook reports every STORE ack for the current phase (replica
+// id, acked ts, receive time) so the harness's durability auditor can
+// cross-check a killed replica's recovered state against what it
+// acknowledged pre-kill.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <vector>
 
-#include "net/backoff.h"
+#include "net/abd.h"
 #include "net/real/transport.h"
-#include "util/rng.h"
 
 namespace compreg::net::real {
 
 struct RealClientConfig {
   int f = 1;
   std::chrono::milliseconds attempt_timeout{100};
-  unsigned max_attempts = 8;     // per quorum phase (first try included)
-  unsigned backoff_base_ms = 2;  // doubles per failed attempt
-  unsigned backoff_cap_ms = 64;
-  bool writeback_skip_uniform = true;
+  unsigned max_attempts = 8;  // per quorum phase (first try included)
   std::uint64_t jitter_seed = 0x9e7c0ffeeull;
 
   int replicas() const { return 2 * f + 1; }
-  int quorum() const { return f + 1; }
-};
-
-struct RealClientStats {
-  std::uint64_t writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t retries = 0;           // re-broadcasts after a timeout
-  std::uint64_t unavailable = 0;       // phases that exhausted the budget
-  std::uint64_t writebacks = 0;
-  std::uint64_t writeback_skips = 0;   // uniform-quorum fast path
 };
 
 // (replica id, acked timestamp, ns since fleet epoch the ack arrived)
@@ -77,6 +50,10 @@ struct RealReadResult {
 
 class RealAbdClient {
  public:
+  // Backoff window bounds, in milliseconds.
+  static constexpr unsigned kBackoffBaseMs = 2;
+  static constexpr unsigned kBackoffCapMs = 64;
+
   // `net` must outlive the client. `epoch` is the fleet time origin used
   // for ack-hook timestamps.
   RealAbdClient(Transport& net, const RealClientConfig& cfg,
@@ -96,28 +73,22 @@ class RealAbdClient {
   std::uint64_t next_write_ts() { return ++write_ts_; }
 
   void set_ack_hook(AckHook hook) { ack_hook_ = std::move(hook); }
-  const RealClientStats& stats() const { return stats_; }
+  const abd::ClientStats& stats() const { return stats_; }
 
  private:
-  struct Reply {
-    int replica = -1;
-    std::uint64_t ts = 0;
-    std::uint64_t val = 0;
-  };
+  struct Io;  // the core's I/O over net_
 
-  // Broadcast-and-collect for one phase. `store` selects STORE/ack
-  // semantics (vs QUERY/reply); replies land in `out` (one per distinct
-  // replica). Returns false on Unavailable.
-  bool quorum_phase(bool store, std::uint64_t ts, std::uint64_t val,
-                    std::vector<Reply>& out);
+  // Feeds frames of the awaited type to the core until it has a quorum
+  // (true) or the deadline passes (false).
+  bool drain(const Deadline& deadline);
 
   Transport& net_;
-  RealClientConfig cfg_;
+  int replicas_;
   std::chrono::steady_clock::time_point epoch_;
-  Rng jitter_;
-  std::uint64_t op_seq_ = 0;
+  abd::ClientStats stats_;
+  abd::Client<std::uint64_t> core_;
+  MsgType want_ = MsgType::kQueryReply;  // reply type of the current phase
   std::uint64_t write_ts_ = 0;
-  RealClientStats stats_;
   AckHook ack_hook_;
 };
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "net/abd.h"
 #include "net/real/durable_file.h"
 #include "net/real/fault_transport.h"
 #include "util/assert.h"
@@ -56,11 +57,11 @@ void audit_append(const std::string& path, const std::string& line) {
 }
 
 int run_replica(const ReplicaConfig& cfg) {
-  COMPREG_CHECK(cfg.f >= 1, "replica needs f >= 1");
+  constexpr auto kSyncRetry = std::chrono::milliseconds(50);
+  constexpr auto kPollSlice = std::chrono::milliseconds(25);
   const int node = cfg.transport.self;
-  const int replicas = cfg.transport.replicas;
-  COMPREG_CHECK(replicas == 2 * cfg.f + 1, "replica fleet must be 2f+1");
-  COMPREG_CHECK(node >= 0 && node < replicas, "replica id out of range");
+  COMPREG_CHECK(cfg.transport.replicas == 2 * cfg.f + 1,
+                "replica fleet must be 2f+1");
   install_sigterm();
 
   FileDurable durable(cfg.data_dir + "/replica-" + std::to_string(node) +
@@ -70,119 +71,64 @@ int run_replica(const ReplicaConfig& cfg) {
   SocketTransport socket(cfg.transport);
   FaultyTransport net(socket, cfg.plan, cfg.seed, cfg.epoch);
 
-  std::uint64_t ts = durable.ts();
-  std::uint64_t val = durable.value();
-  // A replica whose durable file predates this process acknowledged
-  // writes in a previous life: it must catch up from a read quorum
-  // (itself + f distinct peers) before serving again. A truly fresh
-  // replica never acked anything, so it serves immediately.
-  bool serving = !durable.existed();
-
   {
     char line[160];
     std::snprintf(line, sizeof(line),
                   "start node=%d durable_ts=%" PRIu64 " existed=%d t_ns=%"
                   PRId64,
-                  node, ts, durable.existed() ? 1 : 0, ns_since(cfg.epoch));
+                  node, durable.ts(), durable.existed() ? 1 : 0,
+                  ns_since(cfg.epoch));
     audit_append(audit, line);
   }
 
-  // Incarnation tag: sync replies from a previous life of this node id
-  // (stale frames) must not count toward this catch-up quorum.
-  const std::uint64_t incarnation =
-      static_cast<std::uint64_t>(ns_since(cfg.epoch)) ^
-      (static_cast<std::uint64_t>(::getpid()) << 32);
-
+  abd::Replica<std::uint64_t> rep(node, cfg.f, 0);
+  rep.rejoin(durable, static_cast<std::uint64_t>(ns_since(cfg.epoch)) ^
+                          (static_cast<std::uint64_t>(::getpid()) << 32));
   const auto log_serving = [&] {
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "serving node=%d ts=%" PRIu64 " t_ns=%" PRId64, node, ts,
-                  ns_since(cfg.epoch));
+                  "serving node=%d ts=%" PRIu64 " t_ns=%" PRId64, node,
+                  rep.state().ts, ns_since(cfg.epoch));
     audit_append(audit, line);
   };
-  if (serving) log_serving();
+  if (rep.serving()) log_serving();
 
+  const auto self = static_cast<std::uint32_t>(node);
+  const auto reply = [&](int dst, MsgType type, std::uint64_t op,
+                         const abd::Stamped<std::uint64_t>& s) {
+    net.send(dst, WireMsg{type, self, op, s.ts, s.val});
+  };
   Deadline next_sync;  // default = already due
-  std::uint64_t sync_mask = 0;
-  int sync_count = 0;
-
   while (g_stop == 0) {
-    if (!serving && next_sync.expired()) {
-      for (int peer = 0; peer < replicas; ++peer) {
-        if (peer == node) continue;
-        net.send(peer, WireMsg{MsgType::kSyncReq, static_cast<std::uint32_t>(
-                                                      node),
-                               incarnation, ts, 0});
+    if (!rep.serving() && next_sync.expired()) {
+      for (int peer = 0; peer < cfg.transport.replicas; ++peer) {
+        if (peer != node) {
+          reply(peer, MsgType::kSyncReq, rep.incarnation(), rep.state());
+        }
       }
-      next_sync = Deadline::after(cfg.sync_retry);
+      next_sync = Deadline::after(kSyncRetry);
     }
 
-    std::optional<Delivery> d = net.poll(Deadline::after(cfg.poll_slice));
+    const std::optional<Delivery> d = net.poll(Deadline::after(kPollSlice));
     if (!d) continue;
     const WireMsg& m = d->msg;
-    switch (m.type) {
-      case MsgType::kStore: {
-        if (!serving) break;
-        if (m.ts > ts) {
-          ts = m.ts;
-          val = m.val;
-        }
-        // Persist-before-ack: the ack below is a promise that a kill-9
-        // one instruction later cannot erase.
-        durable.persist(ts, val);
-        net.send(d->src, WireMsg{MsgType::kStoreAck,
-                                 static_cast<std::uint32_t>(node), m.op, ts,
-                                 0});
-        break;
+    if (m.type == MsgType::kStore) {
+      if (const auto ts = rep.on_store(durable, m.ts, m.val)) {
+        reply(d->src, MsgType::kStoreAck, m.op, {*ts, 0});
       }
-      case MsgType::kQuery: {
-        if (!serving) break;
-        net.send(d->src, WireMsg{MsgType::kQueryReply,
-                                 static_cast<std::uint32_t>(node), m.op, ts,
-                                 val});
-        break;
+    } else if (m.type == MsgType::kQuery || m.type == MsgType::kSyncReq) {
+      if (const auto state = rep.on_query()) {
+        reply(d->src,
+              m.type == MsgType::kQuery ? MsgType::kQueryReply
+                                        : MsgType::kSyncReply,
+              m.op, *state);
       }
-      case MsgType::kSyncReq: {
-        // Only a serving replica may vouch for the current state; a
-        // catching-up replica answering would let two amnesiacs
-        // certify each other.
-        if (!serving) break;
-        net.send(d->src, WireMsg{MsgType::kSyncReply,
-                                 static_cast<std::uint32_t>(node), m.op, ts,
-                                 val});
-        break;
+    } else if (m.type == MsgType::kSyncReply) {
+      if (rep.on_sync_reply(durable, m.op, d->src, m.ts, m.val)) {
+        log_serving();
       }
-      case MsgType::kSyncReply: {
-        if (serving || m.op != incarnation) break;
-        if (m.ts > ts) {
-          ts = m.ts;
-          val = m.val;
-        }
-        const int peer = d->src;
-        if (peer < 0 || peer >= replicas || peer == node) break;
-        const std::uint64_t bit = std::uint64_t{1} << peer;
-        if ((sync_mask & bit) != 0) break;
-        sync_mask |= bit;
-        if (++sync_count >= cfg.f) {
-          // Self + f distinct peers = a read quorum: it intersects the
-          // ack quorum of every completed write, so (ts, val) now
-          // covers everything this replica ever acknowledged.
-          durable.persist(ts, val);
-          serving = true;
-          log_serving();
-        }
-        break;
-      }
-      case MsgType::kStoreAck:
-      case MsgType::kQueryReply:
-      case MsgType::kWriteReq:
-      case MsgType::kReadReq:
-      case MsgType::kWriteOk:
-      case MsgType::kReadOk:
-      case MsgType::kUnavailableResp:
-      case MsgType::kBusyResp:
-        break;  // client-role / service-layer frames; stray ones ignored
     }
+    // Client-role and service-layer frames are stray here: ignored.
   }
   return 0;
 }

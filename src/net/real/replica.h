@@ -1,28 +1,15 @@
-// One real ABD replica: a process-level event loop over the real
-// transport, obeying the crash-recovery durability discipline.
+// One real ABD replica: the socket driver for the replica half of the
+// protocol core (net/abd.h) — STORE, QUERY, SYNC-REQ and SYNC-REPLY
+// handling, persist-before-ack, and the rejoin rule all live there. This
+// event loop decodes WireMsg frames, persists through the replica's
+// FileDurable, re-broadcasts SYNC-REQ on a deadline until the catch-up
+// quorum answers (peers may themselves still be starting), and answers
+// over the Transport.
 //
-// This is the server half of the protocol in
-// net/replicated_register.h, re-expressed over bytes and real time:
-//
-//   STORE(ts, val)  adopt-if-newer, persist to the replica's
-//                   FileDurable BEFORE the ack leaves (the rule a
-//                   kill-9 cannot be allowed to break), ack with the
-//                   post-adopt timestamp.
-//   QUERY           reply with the current (ts, val).
-//   SYNC_REQ/REPLY  rejoin catch-up: a restarted replica reloads its
-//                   durable record, then resynchronizes from a read
-//                   quorum — itself plus f *distinct* peers, which
-//                   intersects every completed write's ack quorum —
-//                   and only then serves. Mid-catch-up it stays silent
-//                   to all other traffic; clients absorb the silence
-//                   as transient loss.
-//
-// Fresh boot vs restart is decided by FileDurable::existed(): a replica
-// that never persisted anything never acknowledged anything, so a blank
-// immediate start is safe; a present durable file forces the
-// conservative reload + catch-up path. Catch-up requests are
-// re-broadcast on a deadline until a quorum answers — peers may
-// themselves still be starting.
+// Each process start is a rejoin: a replica whose durable file holds
+// nothing never acknowledged anything and serves at once; otherwise it
+// catches up first. The incarnation tag (start time and pid) keeps sync
+// replies meant for a previous life of this node id from counting.
 //
 // The replica appends machine-parseable lines ("start ...",
 // "serving ...") to <data_dir>/audit.log; the harness's durability
@@ -51,8 +38,6 @@ struct ReplicaConfig {
                          // ignored here (real crashes are SIGKILLs)
   std::uint64_t seed = 1;
   std::chrono::steady_clock::time_point epoch{};  // fleet time origin
-  std::chrono::milliseconds sync_retry{50};  // catch-up rebroadcast period
-  std::chrono::milliseconds poll_slice{25};  // event-loop wakeup bound
 };
 
 // Runs the replica event loop until SIGTERM. Returns a process exit

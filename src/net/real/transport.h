@@ -1,16 +1,16 @@
-// Transport: the real-network half of the seam carved out of SimNet.
+// Transport: the socket side of the network seam under the ABD core.
 //
-// The replicated-register protocol only ever needed two things from its
-// network — fire-and-forget `send` and a bounded `poll` that surfaces
-// whatever arrived — and that pair is the seam: SimNet provides it over
-// a deterministic in-process event queue with labeled schedule points,
-// and this interface provides it over real sockets with monotonic-clock
-// deadlines. Everything above the seam (quorum phases, retry budgets,
-// Unavailable degradation, the rejoin catch-up protocol) is the same
-// algorithm on either side; everything below it differs by design —
-// the simulator's schedule points and DPOR certification stop at this
-// line (see docs/fault_model.md, "Real transport"), and the real side
-// answers with actual processes, kernels, and clocks instead.
+// The protocol core (net/abd.h) needs two things from a network —
+// fire-and-forget `send` and a bounded `poll` that surfaces whatever
+// arrived — and each side supplies them its own way: SimNet over a
+// deterministic event queue with labeled schedule points, this interface
+// over real sockets with monotonic-clock deadlines. The quorum phases,
+// retry budgets, Unavailable degradation and rejoin catch-up above the
+// seam are the same code on both sides, so the DPOR certificates cover
+// the protocol the fleet runs; below the seam (framing, sockets, epoll,
+// real processes and clocks) is checked by the verify_net_real and
+// compreg_loadgen chaos runs instead (docs/fault_model.md, "Real
+// transport").
 //
 // SocketTransport is the concrete backend: nonblocking stream sockets
 // (Unix-domain by default, TCP loopback optionally), one epoll set per

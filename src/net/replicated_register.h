@@ -1,66 +1,40 @@
-// ReplicatedRegister: an ABD-style quorum-replicated MRSW atomic
-// register over SimNet — the networked substrate for the paper's
-// construction.
+// ReplicatedRegister: an ABD quorum-replicated MRSW atomic register over
+// SimNet — the networked substrate for the paper's construction.
 //
-// The protocol is the single-writer half of Attiya–Bar-Noy–Dolev,
-// following the message-passing register constructions surveyed by
-// Imbs–Mostéfaoui–Perrin–Raynal: 2f+1 replica nodes each hold a
-// (timestamp, value) pair; the writer tags each value with a local
-// monotonically increasing timestamp and broadcasts it, completing once
-// a majority (f+1) acknowledges; a reader queries all replicas, waits
-// for a majority of (ts, value) replies, adopts the maximum timestamp,
-// and — unless every reply already agreed on that timestamp — performs
-// a write-back phase to a majority before returning, which is what
-// makes concurrent readers atomic rather than merely regular. Replica
-// handlers are idempotent (adopt iff ts is newer), so duplicated or
-// reordered messages are harmless.
+// The protocol lives in net/abd.h, shared with the socket fleet
+// (net/real/). This is the simulator's driver for it: the core's
+// broadcasts become labeled SimNet sends, its waits become SimNet polls
+// (kRetry counts polls), and the replica handlers run
+// inside delivery closures, which also call the durability auditor
+// (net/durable_state.h) on every ack and reply. Every schedule point the
+// DPOR certificates explore is a send or poll taken here, in the order
+// the core asks for them. NetConfig::amnesia swaps in a stable-storage
+// double that breaks the crash-recovery discipline (ack-before-persist,
+// blank rejoin) for certification runs.
 //
-// Replicas live in the crash-*recovery* model (Imbs–Mostéfaoui–
-// Perrin–Raynal): a NetFaultPlan `recover` cycle takes a replica down
-// and brings it back, and atomicity survives because the replica obeys
-// the durability discipline — every acknowledged (timestamp, value) is
-// persisted to its DurableRecord (net/durable_state.h) BEFORE the ack
-// leaves, and a rejoining replica reloads that stable state, catches
-// up from a read quorum (self + f distinct peers, which intersects
-// every completed write's ack quorum), and only then serves again.
-// NetConfig::amnesia seeds the two discipline violations
-// (ack-before-persist, blank rejoin) for certification runs.
-//
-// The client-side robustness layer makes every phase bounded: each
-// attempt broadcasts to all replicas and polls the network for at most
-// `timeout_polls` steps; failed attempts re-send after a bounded
-// exponential backoff (base << attempt, capped, plus deterministic
-// jitter from util/rng) up to `max_attempts` times, after which the
-// operation degrades to an explicit Unavailable outcome — never a hang,
-// and never a non-linearizable read (a read only returns after its
-// chosen value provably rests on a majority). try_read/try_write
-// surface that outcome as a value; read/write (the MrswCell interface,
-// which has no failure channel) throw UnavailableError, which derives
-// from sched::ProcessParked so the crash-aware workload drivers and
-// checkers treat a quorum-starved process exactly like a crash-stopped
-// one: its interrupted operation is recorded pending — it may or may
-// not take effect, but cannot un-happen.
+// try_read/try_write surface quorum loss as a value; read/write (the
+// MrswCell interface, which has no failure channel) throw
+// UnavailableError, a sched::ProcessParked, so the crash-aware workload
+// drivers and checkers treat a quorum-starved process exactly like a
+// crash-stopped one: its interrupted operation is recorded pending.
 //
 // SIMULATOR-ONLY for concurrent use (the replica state and SimNet
 // queue are plain fields serialized by the lockstep); single-threaded
 // use works anywhere, which the unit tests rely on.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "net/backoff.h"
+#include "net/abd.h"
 #include "net/durable_state.h"
 #include "net/sim_net.h"
 #include "sched/access.h"
 #include "sched/schedule_point.h"
 #include "util/assert.h"
 #include "util/op_counter.h"
-#include "util/rng.h"
 #include "util/space_accounting.h"
 
 namespace compreg::net {
@@ -71,7 +45,7 @@ namespace compreg::net {
 // degradation contract documented in docs/fault_model.md.
 struct UnavailableError : sched::ProcessParked {
   explicit UnavailableError(const char* op_name) : op(op_name) {}
-  const char* op;  // "write", "read-query", or "read-writeback"
+  const char* op;  // "write" or "read"
 };
 
 // Seeded durability mutants for certification runs (tests, verify
@@ -80,36 +54,32 @@ struct UnavailableError : sched::ProcessParked {
 // flag; production configs keep kNone.
 enum class Amnesia : std::uint8_t {
   kNone = 0,
-  // Replica acknowledges STOREs without persisting first: a crash
-  // between ack and persist forgets an acknowledged write.
+  // Stable storage never takes a write: every ack outruns its persist,
+  // so a crash forgets acknowledged writes.
   kAckBeforePersist,
-  // Rejoining replica serves immediately from a blank slate: no
-  // durable reload, no quorum catch-up.
+  // A restart finds stable storage empty, so the rejoining replica
+  // serves a blank slate at once: no reload, no catch-up.
   kBlankRejoin,
 };
 
-// Client-side robustness knobs. All quantities are network polls
-// (= schedule points while waiting), so every bound is deterministic.
 struct NetConfig {
-  int f = 1;                    // crash tolerance; replicas = 2f + 1
-  unsigned timeout_polls = 24;  // per-attempt deadline
-  unsigned max_attempts = 5;    // per quorum phase (first try included)
-  unsigned backoff_base = 2;    // polls; doubles per failed attempt
-  unsigned backoff_cap = 32;    // upper bound on one backoff window
-  bool writeback_skip_uniform = true;  // skip phase 2 on agreeing quorum
-  std::uint64_t jitter_seed = 0x9e7c0ffeeull;
+  int f = 1;                         // crash tolerance; replicas = 2f + 1
   Amnesia amnesia = Amnesia::kNone;  // certification-only seeded fault
 
   int replicas() const { return 2 * f + 1; }
-  int quorum() const { return f + 1; }
 };
-
-// The bounded-exponential-backoff window arithmetic is shared with the
-// real transport's retry layer: see net/backoff.h (backoff_window).
 
 template <typename T>
 class ReplicatedRegister {
  public:
+  // Retry budget, in network polls (= schedule points while waiting),
+  // so every bound is deterministic.
+  static constexpr abd::RetryPolicy kRetry{/*attempt=*/24,
+                                           /*max_attempts=*/5,
+                                           /*backoff_base=*/2,
+                                           /*backoff_cap=*/32};
+  static constexpr std::uint64_t kJitterSeed = 0x9e7c0ffeeull;
+
   // `readers` reader slots (one concurrent reader per slot, matching
   // the MRSW contract); the writer is a separate implicit endpoint.
   ReplicatedRegister(SimNet& net, const NetConfig& cfg, int readers,
@@ -118,27 +88,31 @@ class ReplicatedRegister {
       : net_(net),
         cfg_(cfg),
         access_(label, sched::Discipline::kSwmr, readers) {
-    COMPREG_CHECK(cfg.f >= 1, "need f >= 1 (2f+1 replicas)");
-    COMPREG_CHECK(cfg.f <= 31, "catch-up reply mask holds 64 replicas");
     COMPREG_CHECK(readers >= 1, "need at least one reader slot");
     COMPREG_CHECK(net.replicas() == cfg.replicas(),
                   "SimNet has %d replica nodes, NetConfig wants %d",
                   net.replicas(), cfg.replicas());
-    replicas_.assign(static_cast<std::size_t>(cfg.replicas()),
-                     Replica{0, initial});
-    durable_.reserve(static_cast<std::size_t>(cfg.replicas()));
-    for (int r = 0; r < cfg.replicas(); ++r) {
-      durable_.emplace_back(net.durable(), access_.cell(), label, r,
-                            initial);
+    const int n = cfg.replicas();
+    replicas_.reserve(static_cast<std::size_t>(n));
+    disks_.reserve(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      replicas_.emplace_back(r, cfg.f, initial);
+      disks_.push_back(Disk{DurableRecord<T>(net.durable(), access_.cell(),
+                                             label, r, initial),
+                            cfg.amnesia, initial});
     }
-    initial_ = std::move(initial);
     hook_token_ =
         net_.add_recover_hook([this](int node) { on_recover(node); });
-    writer_ = make_endpoint();
-    for (int j = 0; j < readers; ++j) readers_.push_back(make_endpoint());
+    // Endpoint 0 is the writer, 1 + j is reader slot j.
+    for (int e = 0; e <= readers; ++e) {
+      const int node = net_.new_client_node();
+      endpoints_.push_back(Endpoint{
+          node, abd::Client<T>(cfg.f, kRetry, kJitterSeed, node,
+                               net_.stats().client)});
+    }
     // One logical MRSW register; physically 2f+1 replicated copies.
     account_register(label, payload_bits, readers,
-                     static_cast<std::uint64_t>(cfg.replicas()));
+                     static_cast<std::uint64_t>(n));
   }
 
   ~ReplicatedRegister() { net_.remove_recover_hook(hook_token_); }
@@ -165,259 +139,152 @@ class ReplicatedRegister {
   bool try_write(const T& value) {
     sched::observe(access_.write());
     ++op_counters().reg_writes;
-    ++write_ts_;
-    std::vector<Reply> acks;
-    const std::uint64_t ts = write_ts_;
-    return quorum_phase(
-        writer_,
-        [&](int r, std::uint64_t op) { send_store(writer_, r, op, ts, value); },
-        acks);
+    Io io{*this, endpoints_.front()};
+    return endpoints_.front().client.write(io, ++write_ts_, value);
   }
 
   std::optional<T> try_read(int reader_id) {
     COMPREG_DCHECK(reader_id >= 0 &&
-                   reader_id < static_cast<int>(readers_.size()));
+                   reader_id + 1 < static_cast<int>(endpoints_.size()));
     sched::observe(access_.read(reader_id));
     ++op_counters().reg_reads;
-    Endpoint& ep = readers_[static_cast<std::size_t>(reader_id)];
-    std::vector<Reply> replies;
-    if (!quorum_phase(
-            ep, [&](int r, std::uint64_t op) { send_query(ep, r, op); },
-            replies)) {
-      return std::nullopt;
-    }
-    const Reply* best = &replies.front();
-    bool uniform = true;
-    for (const Reply& reply : replies) {
-      if (reply.ts != best->ts) uniform = false;
-      if (reply.ts > best->ts) best = &reply;
-    }
-    const std::uint64_t ts = best->ts;
-    T value = best->val;
-    if (cfg_.writeback_skip_uniform && uniform) {
-      // Every quorum member already agrees on ts, so any later quorum
-      // intersects this one at ts or newer — phase 2 would be a no-op.
-      ++net_.stats().client_writeback_skips;
-      return value;
-    }
-    std::vector<Reply> acks;
-    if (!quorum_phase(
-            ep,
-            [&](int r, std::uint64_t op) { send_store(ep, r, op, ts, value); },
-            acks)) {
-      return std::nullopt;
-    }
-    ++net_.stats().client_writebacks;
-    return value;
+    Endpoint& ep = endpoints_[static_cast<std::size_t>(reader_id) + 1];
+    Io io{*this, ep};
+    std::optional<abd::Stamped<T>> got = ep.client.read(io);
+    if (!got) return std::nullopt;
+    return std::move(got->val);
   }
 
   // Direct replica inspection, for tests and benches.
-  std::uint64_t replica_ts(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].ts;
-  }
-  const T& replica_val(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].val;
-  }
+  std::uint64_t replica_ts(int r) const { return replica(r).state().ts; }
+  const T& replica_val(int r) const { return replica(r).state().val; }
   // Stable-storage view of one replica (what a crash cannot erase).
-  std::uint64_t durable_ts(int r) const {
-    return durable_[static_cast<std::size_t>(r)].ts();
-  }
-  const T& durable_val(int r) const {
-    return durable_[static_cast<std::size_t>(r)].value();
-  }
+  std::uint64_t durable_ts(int r) const { return disk(r).record.ts(); }
+  const T& durable_val(int r) const { return disk(r).record.value(); }
   // False while the replica is mid-rejoin (up, but not yet caught up).
-  bool replica_serving(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].serving;
-  }
+  bool replica_serving(int r) const { return replica(r).serving(); }
   std::uint64_t write_ts() const { return write_ts_; }
 
  private:
-  struct Replica {
-    std::uint64_t ts = 0;
-    T val;
-    // Rejoin protocol state. `serving` drops at the start of a catch-up
-    // round and returns once a read quorum (self + f distinct peers)
-    // has been folded in; a non-serving replica ignores client traffic
-    // (the retry layer absorbs the silence as transient loss).
-    bool serving = true;
-    std::uint64_t sync_op = 0;     // catch-up round tag (incarnation)
-    std::uint64_t sync_mask = 0;   // distinct peers heard this round
-    int sync_replies = 0;
+  // Stable storage as a sim replica sees it: its DurableRecord, or an
+  // amnesia double over that record (so the auditor's ledger still holds
+  // what really became stable).
+  struct Disk {
+    DurableRecord<T> record;
+    Amnesia amnesia;
+    T blank;  // what a kBlankRejoin restart finds
+
+    void persist(std::uint64_t ts, const T& val) {
+      if (amnesia != Amnesia::kAckBeforePersist) record.persist(ts, val);
+    }
+    void reload() {
+      if (amnesia != Amnesia::kBlankRejoin) record.reload();
+    }
+    std::uint64_t ts() const {
+      return amnesia == Amnesia::kBlankRejoin ? 0 : record.ts();
+    }
+    const T& value() const {
+      return amnesia == Amnesia::kBlankRejoin ? blank : record.value();
+    }
   };
-  struct Reply {
-    int replica = -1;
-    std::uint64_t op = 0;
-    std::uint64_t ts = 0;
-    T val;
-  };
-  // One client role (the writer, or one reader slot): a network node id
-  // plus its in-flight-operation bookkeeping. Endpoints are stable in
-  // memory (deque) because delivery closures capture references.
+
+  // One client role (the writer, or one reader slot). Endpoints are
+  // stable in memory (deque) because delivery closures capture them.
   struct Endpoint {
     int node = -1;
-    std::uint64_t op_seq = 0;
-    std::vector<Reply> inbox;
-    Rng jitter{0};
+    abd::Client<T> client;
   };
 
-  Endpoint make_endpoint() {
-    Endpoint ep;
-    ep.node = net_.new_client_node();
-    ep.jitter.reseed(cfg_.jitter_seed ^
-                     (static_cast<std::uint64_t>(ep.node) * 0x9e3779b9ull));
-    return ep;
-  }
+  // The core's I/O for one operation on one endpoint.
+  struct Io {
+    ReplicatedRegister& reg;
+    Endpoint& ep;
 
-  // STORE(ts, value): adopt-if-newer, persist, then acknowledge the
-  // requested timestamp. Serves both writer broadcasts and reader
-  // write-backs. The durability rule — stable storage is written
-  // BEFORE the ack leaves — is what makes a later crash–recover cycle
-  // unable to forget an acknowledged write; the kAckBeforePersist
-  // mutant deletes exactly that line. A replica mid-rejoin stays
-  // silent (the client retry layer reads that as transient loss).
-  void send_store(Endpoint& ep, int r, std::uint64_t op, std::uint64_t ts,
-                  const T& value) {
-    net_.send(ep.node, r, [this, &ep, r, op, ts, value] {
-      Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (!rep.serving) return;
-      if (ts > rep.ts) {
-        rep.ts = ts;
-        rep.val = value;
+    void broadcast(abd::Kind kind, std::uint64_t op,
+                   const abd::Stamped<T>& req) {
+      for (int r = 0; r < reg.cfg_.replicas(); ++r) {
+        if (kind == abd::Kind::kStore) {
+          reg.send_store(ep, r, op, req);
+        } else {
+          reg.send_query(ep, r, op);
+        }
       }
-      if (cfg_.amnesia != Amnesia::kAckBeforePersist) {
-        durable_[static_cast<std::size_t>(r)].persist(rep.ts, rep.val);
+    }
+    bool await(std::uint64_t polls) {
+      for (std::uint64_t i = 0; i < polls; ++i) {
+        reg.net_.poll();
+        if (ep.client.has_quorum()) return true;
       }
-      net_.durable().audit_ack(access_.cell(), access_.decl().owner, r, ts);
-      net_.send(r, ep.node,
-                [&ep, r, op, ts] { ep.inbox.push_back(Reply{r, op, ts, T{}}); });
+      return false;
+    }
+  };
+
+  const abd::Replica<T>& replica(int r) const {
+    return replicas_[static_cast<std::size_t>(r)];
+  }
+  abd::Replica<T>& replica(int r) {
+    return replicas_[static_cast<std::size_t>(r)];
+  }
+  const Disk& disk(int r) const { return disks_[static_cast<std::size_t>(r)]; }
+  Disk& disk(int r) { return disks_[static_cast<std::size_t>(r)]; }
+
+  void send_store(Endpoint& ep, int r, std::uint64_t op,
+                  const abd::Stamped<T>& req) {
+    net_.send(ep.node, r, [this, &ep, r, op, req] {
+      const std::optional<std::uint64_t> ack =
+          replica(r).on_store(disk(r), req.ts, req.val);
+      if (!ack) return;
+      net_.durable().audit_ack(access_.cell(), access_.decl().owner, r, *ack);
+      net_.send(r, ep.node, [&ep, r, op, ts = *ack] {
+        ep.client.offer(op, r, ts, T{});
+      });
     });
   }
 
-  // QUERY: reply with the replica's current (ts, value).
   void send_query(Endpoint& ep, int r, std::uint64_t op) {
     net_.send(ep.node, r, [this, &ep, r, op] {
-      const Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (!rep.serving) return;
-      const std::uint64_t ts = rep.ts;
-      const T val = rep.val;
+      const std::optional<abd::Stamped<T>> state = replica(r).on_query();
+      if (!state) return;
       net_.durable().audit_reply(access_.cell(), access_.decl().owner, r,
-                                 ts);
-      net_.send(r, ep.node, [&ep, r, op, ts, val] {
-        ep.inbox.push_back(Reply{r, op, ts, val});
+                                 state->ts);
+      net_.send(r, ep.node, [&ep, r, op, s = *state] {
+        ep.client.offer(op, r, s.ts, s.val);
       });
     });
   }
 
   // SimNet rejoin hook: replica `node` just came back from a crash–
-  // downtime cycle. The crash-recovery discipline: (1) reload stable
-  // storage, (2) resynchronize from a read quorum — self plus f
-  // distinct peers, which intersects every completed write's ack
-  // quorum — and only then (3) serve again. The kBlankRejoin mutant
-  // skips all three and serves a blank slate immediately.
+  // downtime cycle. Its volatile state is gone; the core rebuilds it
+  // from stable storage and, if a catch-up round opens, SYNC-REQs go to
+  // every peer (answered like queries, only while serving).
   void on_recover(int node) {
-    Replica& rep = replicas_[static_cast<std::size_t>(node)];
-    ++rep.sync_op;  // invalidates catch-up replies to older incarnations
-    if (cfg_.amnesia == Amnesia::kBlankRejoin) {
-      rep.ts = 0;
-      rep.val = initial_;
-      rep.serving = true;
-      return;
-    }
-    DurableRecord<T>& dur = durable_[static_cast<std::size_t>(node)];
-    dur.reload();
-    rep.ts = dur.ts();
-    rep.val = dur.value();
-    rep.serving = false;
-    rep.sync_mask = 0;
-    rep.sync_replies = 0;
-    const std::uint64_t op = rep.sync_op;
-    const int n = cfg_.replicas();
-    for (int r = 0; r < n; ++r) {
+    disk(node).reload();
+    const std::uint64_t round = ++rejoins_;  // tags this start's replies
+    if (!replica(node).rejoin(disk(node), round)) return;
+    for (int r = 0; r < cfg_.replicas(); ++r) {
       if (r == node) continue;
       ++net_.stats().catchup_msgs;
-      net_.send(node, r, [this, node, r, op] {
-        const Replica& peer = replicas_[static_cast<std::size_t>(r)];
-        if (!peer.serving) return;
-        const std::uint64_t ts = peer.ts;
-        const T val = peer.val;
+      net_.send(node, r, [this, node, r, round] {
+        const std::optional<abd::Stamped<T>> state = replica(r).on_query();
+        if (!state) return;
         net_.durable().audit_reply(access_.cell(), access_.decl().owner, r,
-                                   ts);
+                                   state->ts);
         ++net_.stats().catchup_msgs;
-        net_.send(r, node, [this, node, r, op, ts, val] {
-          Replica& self = replicas_[static_cast<std::size_t>(node)];
-          if (self.serving || self.sync_op != op) return;
-          if (ts > self.ts) {
-            self.ts = ts;
-            self.val = val;
-          }
-          durable_[static_cast<std::size_t>(node)].persist(self.ts,
-                                                           self.val);
-          const std::uint64_t bit = 1ull << static_cast<unsigned>(r);
-          if ((self.sync_mask & bit) != 0) return;  // dup: count peers once
-          self.sync_mask |= bit;
-          if (++self.sync_replies + 1 >= cfg_.quorum()) self.serving = true;
+        net_.send(r, node, [this, node, r, round, s = *state] {
+          replica(node).on_sync_reply(disk(node), round, r, s.ts, s.val);
         });
       });
     }
   }
 
-  // Collects >= quorum distinct-replica replies for a fresh operation
-  // sequence number, retrying with bounded exponential backoff. Returns
-  // false (Unavailable) once the budget is spent.
-  bool quorum_phase(Endpoint& ep,
-                    const std::function<void(int, std::uint64_t)>& send_req,
-                    std::vector<Reply>& out) {
-    ++net_.stats().client_phases;
-    ep.inbox.clear();  // replies to earlier operations are stale
-    const std::uint64_t op = ++ep.op_seq;
-    const int n = cfg_.replicas();
-    for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
-      if (attempt > 0) ++net_.stats().client_retries;
-      for (int r = 0; r < n; ++r) send_req(r, op);
-      for (unsigned i = 0; i < cfg_.timeout_polls; ++i) {
-        net_.poll();
-        if (collect(ep, op, out)) return true;
-      }
-      if (attempt + 1 == cfg_.max_attempts) break;
-      // Bounded exponential backoff with deterministic jitter. Backoff
-      // polls still drive the network, so a late quorum short-circuits.
-      const std::uint64_t window = backoff_window(
-          cfg_.backoff_base, cfg_.backoff_cap, attempt, ep.jitter);
-      for (std::uint64_t i = 0; i < window; ++i) {
-        ++net_.stats().client_backoff_polls;
-        net_.poll();
-        if (collect(ep, op, out)) return true;
-      }
-    }
-    ++net_.stats().client_unavailable;
-    return false;
-  }
-
-  // First reply per distinct replica for operation `op`; true once a
-  // quorum of replicas has answered.
-  bool collect(const Endpoint& ep, std::uint64_t op,
-               std::vector<Reply>& out) const {
-    out.clear();
-    for (const Reply& reply : ep.inbox) {
-      if (reply.op != op) continue;
-      const bool seen =
-          std::any_of(out.begin(), out.end(), [&](const Reply& have) {
-            return have.replica == reply.replica;
-          });
-      if (!seen) out.push_back(reply);
-    }
-    return static_cast<int>(out.size()) >= cfg_.quorum();
-  }
-
   SimNet& net_;
   NetConfig cfg_;
   sched::AccessLabel access_;  // model-level SWMR identity of this cell
-  std::vector<Replica> replicas_;          // volatile state (crash-lost)
-  std::vector<DurableRecord<T>> durable_;  // stable state (crash-proof)
-  T initial_{};
+  std::vector<abd::Replica<T>> replicas_;  // volatile state (crash-lost)
+  std::vector<Disk> disks_;                // stable state (crash-proof)
   std::uint64_t hook_token_ = 0;
-  Endpoint writer_;
-  std::deque<Endpoint> readers_;
+  std::uint64_t rejoins_ = 0;
+  std::deque<Endpoint> endpoints_;
   std::uint64_t write_ts_ = 0;
 };
 

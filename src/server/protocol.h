@@ -15,8 +15,10 @@
 //                     the write may yet take effect (the client must
 //                     record it pending, exactly like RealAbdClient's
 //                     own Unavailable writes)
-//   kBusyResp         admission control rejected the op before any
-//                     fleet traffic; it has no timestamp and no effect
+//   kBusyResp         rejected before any fleet traffic for the op
+//                     (admission overflow, or a write before the
+//                     timestamp sequence could be seeded); it has no
+//                     timestamp and no effect
 #pragma once
 
 #include <cstdint>

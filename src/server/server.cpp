@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -13,10 +14,10 @@ namespace {
 
 using compreg::net::Deadline;
 using compreg::net::NetFaultPlan;
+using compreg::net::abd::ClientStats;
 using compreg::net::real::FaultyTransport;
 using compreg::net::real::RealAbdClient;
 using compreg::net::real::RealClientConfig;
-using compreg::net::real::RealClientStats;
 using compreg::net::real::SocketTransport;
 using compreg::net::real::TransportConfig;
 using compreg::telemetry::Counter;
@@ -34,12 +35,6 @@ std::uint64_t us_since(SteadyPoint t0) {
   const auto d = std::chrono::steady_clock::now() - t0;
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d);
   return us.count() < 0 ? 0 : static_cast<std::uint64_t>(us.count());
-}
-
-// Quorum phases implied by a RealClientStats delta: one per write, one
-// per read query, one per read write-back.
-std::uint64_t phases(const RealClientStats& s) {
-  return s.writes + s.reads + s.writebacks;
 }
 
 }  // namespace
@@ -90,18 +85,18 @@ void Server::write_worker_main() {
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
 
-  // Seed the write-timestamp sequence from the fleet's current state so
-  // a server fronting a non-empty fleet continues the sequence instead
-  // of colliding with it. A fresh fleet answers ts=0.
-  std::uint64_t next_ts = 0;
-  for (int i = 0; i < 10; ++i) {
+  // The write-timestamp sequence continues the fleet's: a timestamp at
+  // or below the fleet's state would be acked without being adopted — a
+  // WriteOk no read could ever see. Until a seed read succeeds it is
+  // retried before each write, and an unseeded write is answered Busy
+  // (no write reached the fleet). A fresh fleet answers ts=0.
+  std::optional<std::uint64_t> last_ts;
+  const auto seed = [&] {
     const auto r = client.try_read();
-    if (r.ok) {
-      next_ts = r.ts;
-      break;
-    }
-  }
-  RealClientStats last = client.stats();
+    if (r.ok) last_ts = r.ts;
+  };
+  for (int i = 0; i < 10 && !last_ts; ++i) seed();
+  ClientStats last = client.stats();
 
   while (true) {
     PendingWrite op;
@@ -118,19 +113,21 @@ void Server::write_worker_main() {
     rec->count(Counter::kWritesDequeued);
     rec->record(Histo::kQueueDepth, depth);
 
-    ++next_ts;
-    const bool ok = client.try_write(next_ts, op.req.val);
-    const RealClientStats& s = client.stats();
-    rec->count(Counter::kRetries, s.retries - last.retries);
-    rec->count(Counter::kQuorumRounds, phases(s) - phases(last));
-    last = s;
-
+    if (!last_ts) seed();
     Completion c;
     c.req = op.req;
-    c.status = ok ? Status::kOk : Status::kUnavailable;
-    c.ts = next_ts;  // Unavailable writes still report their timestamp
-    c.val = op.req.val;
     c.t0 = op.t0;
+    c.status = Status::kBusy;
+    if (last_ts) {
+      c.ts = ++*last_ts;  // Unavailable writes still report it
+      c.val = op.req.val;
+      c.status = client.try_write(c.ts, c.val) ? Status::kOk
+                                                : Status::kUnavailable;
+    }
+    const ClientStats& s = client.stats();
+    rec->count(Counter::kRetries, s.retries - last.retries);
+    rec->count(Counter::kQuorumRounds, s.phases - last.phases);
+    last = s;
     complete(c);
   }
 }
@@ -146,7 +143,7 @@ void Server::read_worker_main() {
   RealAbdClient client(net, fleet_client_config(), epoch);
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
-  RealClientStats last = client.stats();
+  ClientStats last = client.stats();
 
   while (true) {
     const std::vector<ReadBatcher::Item> batch = batcher_.take_batch();
@@ -156,9 +153,9 @@ void Server::read_worker_main() {
     // every member's enqueue, so each member's answer is at least as
     // fresh as a collect it could have started itself.
     const auto r = client.try_read();
-    const RealClientStats& s = client.stats();
+    const ClientStats& s = client.stats();
     rec->count(Counter::kRetries, s.retries - last.retries);
-    rec->count(Counter::kQuorumRounds, phases(s) - phases(last));
+    rec->count(Counter::kQuorumRounds, s.phases - last.phases);
     last = s;
     rec->count(Counter::kBatchRounds);
     rec->count(Counter::kBatchedReads, batch.size());
@@ -231,7 +228,9 @@ void Server::run(const std::atomic<bool>& stop) {
                  make_response(0, c.req, c.status, c.ts, c.val));
       admission_.release();
       const std::uint64_t us = us_since(c.t0);
-      if (c.req.is_write) {
+      if (c.status == Status::kBusy) {
+        rec->count(Counter::kBusy);  // an unseeded write
+      } else if (c.req.is_write) {
         rec->count(c.status == Status::kOk ? Counter::kWritesOk
                                            : Counter::kUnavailable);
         rec->record(Histo::kWriteLatencyUs, us);

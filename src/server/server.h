@@ -12,10 +12,11 @@
 //
 //   write worker: owns a RealAbdClient against the 2f+1 fleet and is
 //     the SINGLE ABD WRITER — every client write is assigned the next
-//     timestamp of one monotone sequence (seeded from an initial
-//     collect, so a server fronting a non-empty fleet continues, not
-//     restarts, the sequence) and performed one at a time. Timestamp
-//     order therefore IS the write serialization order, which is what
+//     timestamp of one monotone sequence (seeded from a collect, so a
+//     server fronting a non-empty fleet continues, not restarts, the
+//     sequence; until a seed collect succeeds, writes are answered
+//     Busy) and performed one at a time. Timestamp order therefore IS
+//     the write serialization order, which is what
 //     the funneled atomicity checker (lin/register_checker.h) verifies
 //     against client-observed intervals;
 //
@@ -28,8 +29,9 @@
 // Degradation is always explicit and bounded: a spent fleet retry
 // budget surfaces as kUnavailableResp (writes still carry their
 // assigned timestamp — the value may yet take effect, clients record it
-// pending), and admission overflow surfaces as kBusyResp before any
-// fleet traffic. Nothing queues unboundedly and nothing blocks forever.
+// pending), and admission overflow or an unseeded write surfaces as
+// kBusyResp before any fleet traffic for it. Nothing queues unboundedly
+// and nothing blocks forever.
 //
 // Every thread carries an always-on telemetry recorder
 // (src/telemetry/); shutdown drains in-flight ops to zero before

@@ -45,7 +45,7 @@ enum class Counter : std::uint32_t {
   kReadsOk,           // read ops answered with a value
   kUnavailable,       // ops degraded to explicit Unavailable
   kBusy,              // ops rejected by admission control
-  kRetries,           // quorum-phase re-broadcasts (from RealClientStats)
+  kRetries,           // quorum-phase re-broadcasts (from abd::ClientStats)
   kQuorumRounds,      // ABD quorum collects issued against the fleet
   kBatchRounds,       // shared read collects (one per batch)
   kBatchedReads,      // read ops answered from a shared collect

@@ -28,10 +28,11 @@ TEST(BackoffTest, DoublesPerAttemptUpToCap) {
 }
 
 TEST(BackoffTest, SaturatesAtCapForHugeAttempts) {
-  // attempt >= 64 would be UB in a naive `base << attempt`; the helper
-  // must saturate at cap instead of overflowing or crashing.
+  // Past the doubling range the window stays at the cap; attempt >= 64
+  // would be UB in a naive `base << attempt`, so the helper must
+  // saturate there too instead of overflowing or crashing.
   Rng jitter(1);
-  for (const unsigned attempt : {63u, 64u, 65u, 1000u, ~0u}) {
+  for (const unsigned attempt : {40u, 61u, 63u, 64u, 65u, 1000u, ~0u}) {
     const std::uint64_t w = backoff_window(2, 32, attempt, jitter);
     EXPECT_GE(w, 32u) << attempt;
     EXPECT_LE(w, 48u) << attempt;  // cap + cap/2 jitter

@@ -8,12 +8,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "net/net_cell.h"
 #include "registers/register_concepts.h"
 #include "sched/schedule_point.h"
-#include "util/rng.h"
 
 namespace compreg::net {
 namespace {
@@ -72,18 +70,8 @@ TEST(ReplicatedRegisterTest, UniformQuorumSkipsWriteBack) {
   reg.write(5);
   EXPECT_EQ(reg.read(0), 5u);
   // Clean network: the read quorum agrees, phase 2 is provably a no-op.
-  EXPECT_GE(net.stats().client_writeback_skips, 1u);
-  EXPECT_EQ(net.stats().client_writebacks, 0u);
-}
-
-TEST(ReplicatedRegisterTest, WriteBackRunsWhenSkipDisabled) {
-  NetConfig cfg = config_f(1);
-  cfg.writeback_skip_uniform = false;
-  SimNet net(cfg.replicas(), NetFaultPlan{}, 1);
-  ReplicatedRegister<std::uint64_t> reg(net, cfg, /*readers=*/1, 0);
-  reg.write(5);
-  EXPECT_EQ(reg.read(0), 5u);
-  EXPECT_GE(net.stats().client_writebacks, 1u);
+  EXPECT_GE(net.stats().client.writeback_skips, 1u);
+  EXPECT_EQ(net.stats().client.writebacks, 0u);
 }
 
 TEST(ReplicatedRegisterTest, RetriesThroughHeavyLoss) {
@@ -96,7 +84,7 @@ TEST(ReplicatedRegisterTest, RetriesThroughHeavyLoss) {
     EXPECT_EQ(reg.read(0), v);
   }
   EXPECT_GT(net.stats().dropped_loss, 0u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
 }
 
 TEST(ReplicatedRegisterTest, ToleratesFCrashes) {
@@ -108,7 +96,7 @@ TEST(ReplicatedRegisterTest, ToleratesFCrashes) {
     reg.write(v);
     EXPECT_EQ(reg.read(0), v);
   }
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
   EXPECT_EQ(reg.replica_ts(2), 0u);  // the corpse never adopted anything
 }
 
@@ -118,11 +106,14 @@ TEST(ReplicatedRegisterTest, TotalLossDegradesToUnavailableBounded) {
   ReplicatedRegister<std::uint64_t> reg(net, cfg, /*readers=*/1, 9);
   EXPECT_FALSE(reg.try_write(1));
   EXPECT_EQ(reg.try_read(0), std::nullopt);
-  EXPECT_EQ(net.stats().client_unavailable, 2u);
+  EXPECT_EQ(net.stats().client.unavailable, 2u);
   // Bounded: max_attempts timeouts plus capped backoff windows, per op.
+  using Reg = ReplicatedRegister<std::uint64_t>;
+  constexpr abd::RetryPolicy kRetry = Reg::kRetry;
   const std::uint64_t per_phase =
-      cfg.max_attempts * cfg.timeout_polls +
-      (cfg.max_attempts - 1) * (cfg.backoff_cap + cfg.backoff_cap / 2 + 1);
+      kRetry.max_attempts * kRetry.attempt +
+      (kRetry.max_attempts - 1) *
+          (kRetry.backoff_cap + kRetry.backoff_cap / 2 + 1);
   EXPECT_LE(net.stats().polls, 2 * per_phase);
 }
 
@@ -157,7 +148,7 @@ TEST(ReplicatedRegisterTest, DuplicationIsIdempotent) {
     EXPECT_EQ(reg.read(0), v);
   }
   EXPECT_GT(net.stats().duplicated, 0u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
 }
 
 TEST(ReplicatedRegisterTest, ReorderAndDelayTolerated) {
@@ -168,7 +159,7 @@ TEST(ReplicatedRegisterTest, ReorderAndDelayTolerated) {
     reg.write(v);
     EXPECT_EQ(reg.read(static_cast<int>(v) % 2), v);
   }
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
 }
 
 TEST(ReplicatedRegisterTest, StaleRepliesNeverSatisfyANewPhase) {
@@ -217,7 +208,7 @@ TEST(ReplicatedRegisterTest, RejoinCatchUpRestoresState) {
   EXPECT_TRUE(reg.replica_serving(2));
   EXPECT_EQ(reg.replica_ts(2), reg.write_ts());
   EXPECT_EQ(reg.replica_val(2), 12u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
   // A correct implementation never trips the durability auditor.
   EXPECT_TRUE(net.durable().report().findings.empty());
 }
@@ -234,48 +225,8 @@ TEST(ReplicatedRegisterTest, RepeatedRecoveriesStayAvailable) {
     EXPECT_EQ(reg.read(0), v);
   }
   EXPECT_GE(net.stats().replica_recoveries, 2u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
   EXPECT_TRUE(net.durable().report().findings.empty());
-}
-
-// Satellite: the client backoff window — capped at backoff_cap,
-// deterministic under a fixed jitter seed, and shift-safe for attempt
-// counts past the word width.
-TEST(BackoffWindowTest, CapBoundsEveryWindow) {
-  Rng jitter(42);
-  for (unsigned attempt = 0; attempt < 100; ++attempt) {
-    const std::uint64_t w = backoff_window(/*base=*/2, /*cap=*/16, attempt,
-                                           jitter);
-    EXPECT_LE(w, 16u + 16u / 2);  // cap plus the maximum jitter share
-  }
-}
-
-TEST(BackoffWindowTest, DeterministicUnderFixedSeed) {
-  const auto seq = [] {
-    Rng jitter(7);
-    std::vector<std::uint64_t> out;
-    for (unsigned a = 0; a < 32; ++a) {
-      out.push_back(backoff_window(3, 40, a, jitter));
-    }
-    return out;
-  };
-  EXPECT_EQ(seq(), seq());
-}
-
-TEST(BackoffWindowTest, NoOverflowAtLargeAttempts) {
-  // base << attempt would wrap at attempt >= 61 for base 8; the window
-  // must saturate at the cap instead of wrapping to something tiny.
-  Rng jitter(9);
-  for (unsigned attempt : {61u, 63u, 64u, 65u, 1000u, 4000000000u}) {
-    const std::uint64_t w = backoff_window(8, 64, attempt, jitter);
-    EXPECT_GE(w, 64u) << attempt;
-    EXPECT_LE(w, 64u + 64u / 2) << attempt;
-  }
-}
-
-TEST(BackoffWindowTest, ZeroBaseMeansNoWait) {
-  Rng jitter(3);
-  EXPECT_EQ(backoff_window(0, 50, 10, jitter), 0u);
 }
 
 TEST(NetCellTest, RequiresAndUsesAmbientFabric) {

@@ -88,6 +88,7 @@ using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
 using compreg::tools::LiveState;
+using compreg::tools::percentile_us;
 using compreg::tools::run_replica_child;
 using compreg::tools::SteadyPoint;
 using compreg::tools::Watchdog;
@@ -395,14 +396,6 @@ ServerStats parse_server_stats(const std::string& path) {
     }
   }
   return st;
-}
-
-double percentile_us(std::vector<std::uint64_t>& ns, double q) {
-  if (ns.empty()) return 0;
-  std::sort(ns.begin(), ns.end());
-  const auto idx =
-      static_cast<std::size_t>(q * static_cast<double>(ns.size() - 1));
-  return static_cast<double>(ns[idx]) / 1000.0;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 // of drifting copies.
 #pragma once
 
+#include <algorithm>
 #include <cinttypes>
 #include <chrono>
 #include <cstdint>
@@ -48,6 +49,16 @@ inline std::int64_t epoch_to_ns(SteadyPoint epoch) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              epoch.time_since_epoch())
       .count();
+}
+
+// The q-quantile (nearest rank below) of nanosecond latencies, in
+// microseconds. Sorts `ns` in place.
+inline double percentile_us(std::vector<std::uint64_t>& ns, double q) {
+  if (ns.empty()) return 0;
+  std::sort(ns.begin(), ns.end());
+  const auto idx =
+      static_cast<std::size_t>(q * static_cast<double>(ns.size() - 1));
+  return static_cast<double>(ns[idx]) / 1000.0;
 }
 
 // ---------------------------------------------------------------------------

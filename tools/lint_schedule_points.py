@@ -54,12 +54,13 @@ DEFAULT_TREES = ("src/registers", "src/baselines", "src/net")
 # visible, justified decision rather than a silent hole.
 EXEMPT_DIRS = {
     "src/net/real": (
-        "real-socket transport: this code runs in separate OS processes "
-        "under real kernels and real clocks, below the Transport seam "
-        "where the labeled-schedule-point discipline (and the DPOR "
-        "certification built on it) stops by design; its verification "
-        "story is verify_net_real chaos/kill-9 runs, not schedule-space "
-        "exploration"
+        "real-socket drivers and transport: this code runs in separate "
+        "OS processes under real kernels and real clocks, where a "
+        "labeled schedule point would be meaningless; the protocol "
+        "decisions it calls live in src/net/abd.h and are DPOR-certified "
+        "through the simulator driver, while the sockets, clocks and "
+        "files here are verified by verify_net_real and compreg_loadgen "
+        "chaos/kill-9 runs"
     ),
 }
 

@@ -87,6 +87,7 @@ using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
 using compreg::tools::LiveState;
 using compreg::tools::mix_seed;
+using compreg::tools::percentile_us;
 using compreg::tools::run_replica_child;
 using compreg::tools::SteadyPoint;
 using compreg::tools::Watchdog;
@@ -523,14 +524,6 @@ struct BenchRow {
   std::uint64_t pending = 0;
   std::uint64_t unavailable_reads = 0;
 };
-
-double percentile_us(std::vector<std::uint64_t>& ns, double q) {
-  if (ns.empty()) return 0;
-  std::sort(ns.begin(), ns.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(ns.size() - 1));
-  return static_cast<double>(ns[idx]) / 1000.0;
-}
 
 int run_bench(Options opt, std::atomic<std::uint64_t>& progress) {
   const unsigned losses[] = {0, 10, 100};  // permille: 0%, 1%, 10%
