@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -37,6 +38,13 @@ int make_socket(TransportKind kind) {
 SocketTransport::SocketTransport(TransportConfig cfg) : cfg_(std::move(cfg)) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   COMPREG_CHECK(epoll_fd_ >= 0, "epoll_create1 failed (errno %d)", errno);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  COMPREG_CHECK(wake_fd_ >= 0, "eventfd failed (errno %d)", errno);
+  epoll_event wake_ev{};
+  wake_ev.events = EPOLLIN;
+  wake_ev.data.fd = wake_fd_;
+  COMPREG_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_ev) == 0,
+                "epoll_ctl(eventfd) failed (errno %d)", errno);
   if (cfg_.self >= cfg_.replicas) return;  // clients are outbound-only
 
   listen_fd_ = make_socket(cfg_.kind);
@@ -77,6 +85,7 @@ SocketTransport::SocketTransport(TransportConfig cfg) : cfg_(std::move(cfg)) {
 SocketTransport::~SocketTransport() {
   for (auto& [fd, conn] : conns_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (!listen_path_.empty()) ::unlink(listen_path_.c_str());
 }
@@ -260,6 +269,13 @@ void SocketTransport::close_conn(int fd, bool reset) {
   if (reset) ++stats_.resets;
 }
 
+void SocketTransport::wake() {
+  // An eventfd write is one atomic counter add: safe from any thread,
+  // and a counter that is already nonzero stays one pending wake.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
 std::optional<Delivery> SocketTransport::poll(const Deadline& deadline) {
   while (true) {
     if (!inbox_.empty()) {
@@ -267,6 +283,10 @@ std::optional<Delivery> SocketTransport::poll(const Deadline& deadline) {
       inbox_.pop_front();
       ++stats_.delivered;
       return d;
+    }
+    if (woken_) {
+      woken_ = false;
+      return std::nullopt;
     }
     const int timeout_ms = deadline.remaining_ms_ceil();
     epoll_event events[32];
@@ -281,6 +301,16 @@ std::optional<Delivery> SocketTransport::poll(const Deadline& deadline) {
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
+      if (fd == wake_fd_) {
+        // Reading resets the counter, so every wake() before this read
+        // is answered by the one early return below.
+        std::uint64_t count = 0;
+        if (::read(wake_fd_, &count, sizeof(count)) ==
+            static_cast<ssize_t>(sizeof(count))) {
+          woken_ = true;
+        }
+        continue;
+      }
       if (fd == listen_fd_) {
         while (true) {
           const int cfd = ::accept4(listen_fd_, nullptr, nullptr,
@@ -315,7 +345,10 @@ std::optional<Delivery> SocketTransport::poll(const Deadline& deadline) {
     // tiny) timeout and a level-triggered event that stays ready, the
     // n == 0 branch above may never be taken — without this check a
     // poll-with-expired-deadline would spin instead of returning.
-    if (inbox_.empty() && deadline.expired()) return std::nullopt;
+    if (inbox_.empty() && (woken_ || deadline.expired())) {
+      woken_ = false;
+      return std::nullopt;
+    }
   }
 }
 

@@ -19,7 +19,11 @@
 // peer is counted and discarded, never an error, exactly the asynchronous
 // fair-lossy network the ABD protocol is designed for. Each endpoint
 // (one replica process, or one client thread) owns its own
-// SocketTransport; instances are single-threaded and never shared.
+// SocketTransport; instances are single-threaded and never shared, with
+// one exception: wake() may be called from any thread, so a thread that
+// hands the owner work (the server's workers posting completions) can
+// cut the owner's blocking poll short instead of waiting out its
+// deadline.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +102,13 @@ class SocketTransport final : public Transport {
   std::optional<Delivery> poll(const Deadline& deadline) override;
   TransportStats& stats() override { return stats_; }
 
+  // Thread-safe. Makes the poll that is running, or else the next one,
+  // return early: frames already read off a connection are still
+  // delivered first, and the first poll that finds the inbox empty
+  // returns nullopt at once. Wakes that no poll has observed yet merge
+  // into one early return.
+  void wake();
+
  private:
   struct Conn {
     int fd = -1;
@@ -120,6 +131,8 @@ class SocketTransport final : public Transport {
   TransportConfig cfg_;
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
+  int wake_fd_ = -1;    // eventfd in the epoll set; written by wake()
+  bool woken_ = false;  // wake read off wake_fd_, not yet returned
   std::string listen_path_;  // UDS only: unlinked on destruction
   std::unordered_map<int, Conn> conns_;  // by fd
   std::unordered_map<int, int> peer_fd_;  // logical node id -> fd

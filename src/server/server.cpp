@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -40,7 +41,12 @@ std::uint64_t us_since(SteadyPoint t0) {
 }  // namespace
 
 Server::Server(const ServerConfig& cfg)
-    : cfg_(cfg), admission_(cfg.max_inflight) {}
+    : cfg_(cfg), admission_(cfg.max_inflight) {
+  if (!cfg_.plan_text.empty()) {
+    auto plan = NetFaultPlan::parse(cfg_.plan_text, &plan_error_);
+    if (plan) plan_ = *std::move(plan);
+  }
+}
 
 RealClientConfig Server::fleet_client_config() const {
   RealClientConfig c;
@@ -61,9 +67,15 @@ net::real::TransportConfig Server::fleet_transport_config(int node) const {
   return c;
 }
 
-void Server::complete(const Completion& c) {
-  std::lock_guard<std::mutex> lock(done_mu_);
-  done_.push_back(c);
+void Server::complete(std::span<const Completion> cs) {
+  {
+    std::lock_guard<std::mutex> lock(done_mu_);
+    done_.insert(done_.end(), cs.begin(), cs.end());
+  }
+  // After the push: the front-end clears the wake inside poll() before
+  // it takes completions, so whatever this wake announces is either
+  // taken by that call or announced again by a later wake.
+  front_->wake();
 }
 
 std::vector<Server::Completion> Server::take_completions() {
@@ -75,12 +87,8 @@ std::vector<Server::Completion> Server::take_completions() {
 
 void Server::write_worker_main() {
   SocketTransport sock(fleet_transport_config(cfg_.replicas()));
-  const NetFaultPlan plan =
-      cfg_.plan_text.empty()
-          ? NetFaultPlan{}
-          : NetFaultPlan::parse(cfg_.plan_text).value_or(NetFaultPlan{});
   const SteadyPoint epoch = epoch_point(cfg_.epoch_ns);
-  FaultyTransport net(sock, plan, cfg_.seed ^ 0x77121ull, epoch);
+  FaultyTransport net(sock, plan_, cfg_.seed ^ 0x77121ull, epoch);
   RealAbdClient client(net, fleet_client_config(), epoch);
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
@@ -128,18 +136,14 @@ void Server::write_worker_main() {
     rec->count(Counter::kRetries, s.retries - last.retries);
     rec->count(Counter::kQuorumRounds, s.phases - last.phases);
     last = s;
-    complete(c);
+    complete({&c, 1});
   }
 }
 
 void Server::read_worker_main() {
   SocketTransport sock(fleet_transport_config(cfg_.replicas() + 1));
-  const NetFaultPlan plan =
-      cfg_.plan_text.empty()
-          ? NetFaultPlan{}
-          : NetFaultPlan::parse(cfg_.plan_text).value_or(NetFaultPlan{});
   const SteadyPoint epoch = epoch_point(cfg_.epoch_ns);
-  FaultyTransport net(sock, plan, cfg_.seed ^ 0x4ead2ull, epoch);
+  FaultyTransport net(sock, plan_, cfg_.seed ^ 0x4ead2ull, epoch);
   RealAbdClient client(net, fleet_client_config(), epoch);
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
@@ -161,6 +165,9 @@ void Server::read_worker_main() {
     rec->count(Counter::kBatchedReads, batch.size());
     rec->record(Histo::kBatchOccupancy, batch.size());
 
+    // The whole batch is posted under one lock with one wake.
+    std::vector<Completion> done;
+    done.reserve(batch.size());
     for (const ReadBatcher::Item& item : batch) {
       Completion c;
       c.req = item.req;
@@ -168,12 +175,14 @@ void Server::read_worker_main() {
       c.ts = r.ts;
       c.val = r.val;
       c.t0 = item.t0;
-      complete(c);
+      done.push_back(c);
     }
+    complete(done);
   }
 }
 
 void Server::run(const std::atomic<bool>& stop) {
+  COMPREG_CHECK(plan_error_.empty(), "bad plan: %s", plan_error_.c_str());
   TransportConfig front_cfg;
   front_cfg.kind = cfg_.kind;
   front_cfg.self = 0;
@@ -185,6 +194,9 @@ void Server::run(const std::atomic<bool>& stop) {
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
 
+  // Set before the workers start (thread creation orders it before
+  // anything they run) and cleared only after they are joined.
+  front_ = &front;
   std::thread writer([this] { write_worker_main(); });
   std::thread reader([this] { read_worker_main(); });
 
@@ -194,7 +206,9 @@ void Server::run(const std::atomic<bool>& stop) {
     // slice; no other state rides on its visibility ordering.
     if (!draining && stop.load(std::memory_order_relaxed)) draining = true;
 
-    // One short I/O slice, then drain whatever already arrived.
+    // Block until a request arrives or a worker's complete() wakes the
+    // poll; the deadline only bounds how soon `stop` is noticed. Then
+    // drain whatever already arrived.
     auto d = front.poll(Deadline::after(std::chrono::milliseconds(1)));
     while (d.has_value()) {
       Request req;
@@ -252,6 +266,7 @@ void Server::run(const std::atomic<bool>& stop) {
   batcher_.stop();
   writer.join();
   reader.join();
+  front_ = nullptr;
 
   // A few extra slices so buffered response frames reach the kernel
   // before the transport (and its connections) are torn down.

@@ -8,7 +8,10 @@
 //     admission control (bounded in-flight, Busy beyond the bound),
 //     routes writes to the write worker and reads to the ReadBatcher,
 //     and sends every completed response back on the client's
-//     connection;
+//     connection. It is event-driven: a worker posts its completions
+//     and then calls the front transport's thread-safe wake(), so the
+//     front-end's poll returns as soon as a response is ready. The
+//     poll's 1 ms deadline only bounds how soon a stop is noticed;
 //
 //   write worker: owns a RealAbdClient against the 2f+1 fleet and is
 //     the SINGLE ABD WRITER — every client write is assigned the next
@@ -45,9 +48,11 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "net/net_plan.h"
 #include "net/real/client.h"
 #include "net/real/transport.h"
 #include "server/admission.h"
@@ -85,6 +90,8 @@ struct ServerConfig {
 
 class Server {
  public:
+  // Parses cfg.plan_text once; a plan that does not parse leaves
+  // plan_error() non-empty, and run() must not be called.
   explicit Server(const ServerConfig& cfg);
 
   Server(const Server&) = delete;
@@ -93,6 +100,8 @@ class Server {
   // Serves until `stop` becomes true, then drains every admitted op,
   // stops the workers, and returns. The calling thread is the front-end.
   void run(const std::atomic<bool>& stop);
+
+  const std::string& plan_error() const { return plan_error_; }
 
   telemetry::Registry& registry() { return registry_; }
 
@@ -127,10 +136,13 @@ class Server {
   net::real::RealClientConfig fleet_client_config() const;
   net::real::TransportConfig fleet_transport_config(int node) const;
 
-  void complete(const Completion& c);
+  // Posts completions under one lock, then wakes the front-end.
+  void complete(std::span<const Completion> cs);
   std::vector<Completion> take_completions();
 
   ServerConfig cfg_;
+  net::NetFaultPlan plan_;  // parsed once, shared by both workers
+  std::string plan_error_;
   telemetry::Registry registry_;
   AdmissionGate admission_;
   ReadBatcher batcher_;
@@ -139,6 +151,10 @@ class Server {
   std::condition_variable write_cv_;
   std::deque<PendingWrite> write_queue_;
   bool write_stop_ = false;
+
+  // The front-end's transport, woken by complete(); valid while run()
+  // has the workers running.
+  net::real::SocketTransport* front_ = nullptr;
 
   std::mutex done_mu_;
   std::vector<Completion> done_;

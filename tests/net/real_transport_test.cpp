@@ -1,9 +1,10 @@
 // Unit coverage for the real-transport building blocks that can be
 // tested single-threaded and in-process: the wire format, the stream
 // frame reassembler, file-backed durability, loopback socket delivery
-// (UDS and TCP), and the FaultyTransport decorator's drop/partition
-// behavior. The multi-process, kill-9 behavior is covered by the
-// tools/verify_net_real harness, not here.
+// (UDS and TCP), the cross-thread wake() of a blocking poll, and the
+// FaultyTransport decorator's drop/partition behavior. The
+// multi-process, kill-9 behavior is covered by the tools/verify_net_real
+// harness, not here.
 #include "net/real/transport.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/net_plan.h"
@@ -239,6 +241,70 @@ TEST(SocketTransportTest, SendToDeadPeerIsACountedDropNotAnError) {
   client.send(1, WireMsg{MsgType::kQuery, 3, 1, 0, 0});
   EXPECT_FALSE(client.poll(Deadline::after(milliseconds(50))).has_value());
   EXPECT_GE(client.stats().dropped_unreachable, 1u);
+}
+
+milliseconds elapsed_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+}
+
+TEST(SocketTransportTest, WakeFromAnotherThreadCutsABlockingPollShort) {
+  ScratchDir dir;
+  SocketTransport replica({TransportKind::kUds, 0, 3, dir.path, 0});
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread waker([&] {
+    std::this_thread::sleep_for(milliseconds(50));
+    replica.wake();
+  });
+  EXPECT_FALSE(replica.poll(Deadline::after(milliseconds(5000))).has_value());
+  EXPECT_LT(elapsed_since(t0), milliseconds(1000));
+  waker.join();
+}
+
+TEST(SocketTransportTest, WakeBeforePollIsLatched) {
+  ScratchDir dir;
+  SocketTransport client({TransportKind::kUds, 3, 3, dir.path, 0});
+  client.wake();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.poll(Deadline::after(milliseconds(5000))).has_value());
+  EXPECT_LT(elapsed_since(t0), milliseconds(1000));
+}
+
+TEST(SocketTransportTest, SeveralWakesMergeIntoOneEarlyReturn) {
+  ScratchDir dir;
+  SocketTransport client({TransportKind::kUds, 3, 3, dir.path, 0});
+  client.wake();
+  client.wake();
+  client.wake();
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.poll(Deadline::after(milliseconds(5000))).has_value());
+  EXPECT_LT(elapsed_since(t0), milliseconds(1000));
+  // The other wakes were answered by that return: this poll waits out
+  // its whole deadline.
+  t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.poll(Deadline::after(milliseconds(200))).has_value());
+  EXPECT_GE(elapsed_since(t0), milliseconds(200));
+}
+
+TEST(SocketTransportTest, QueuedFrameIsDeliveredAheadOfTheWake) {
+  ScratchDir dir;
+  SocketTransport replica({TransportKind::kUds, 0, 3, dir.path, 0});
+  SocketTransport client({TransportKind::kUds, 3, 3, dir.path, 0});
+  // Connect first, so the next frame lands straight in the replica's
+  // socket buffer.
+  client.send(0, WireMsg{MsgType::kQuery, 3, 1, 0, 0});
+  ASSERT_TRUE(pump_until(replica, client, milliseconds(2000)).has_value());
+
+  const WireMsg queued{MsgType::kQuery, 3, 2, 0, 0};
+  client.send(0, queued);
+  replica.wake();
+  auto got = replica.poll(Deadline::after(milliseconds(5000)));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->msg, queued);
+  // The wake is not lost behind the frame: the next poll returns early.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(replica.poll(Deadline::after(milliseconds(5000))).has_value());
+  EXPECT_LT(elapsed_since(t0), milliseconds(1000));
 }
 
 TEST(FaultyTransportTest, FullLossDropsEverySend) {

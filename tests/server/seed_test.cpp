@@ -6,18 +6,12 @@
 // retried before each write.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <cstdlib>
-#include <optional>
-#include <string>
 #include <thread>
-#include <vector>
 
-#include "net/abd.h"
+#include "fleet.h"
 #include "net/real/client.h"
 #include "net/real/transport.h"
 #include "server/client.h"
@@ -30,60 +24,6 @@ namespace {
 using net::real::MsgType;
 using net::real::WireMsg;
 using std::chrono::milliseconds;
-
-struct ScratchDir {
-  std::string path;
-  ScratchDir() {
-    char tmpl[] = "/tmp/compreg-seed-XXXXXX";
-    char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path = made != nullptr ? made : "/tmp";
-  }
-  ~ScratchDir() {
-    const std::string cmd = "rm -rf '" + path + "'";
-    [[maybe_unused]] const int rc = std::system(cmd.c_str());
-  }
-};
-
-// Volatile stable storage: enough for replicas that never restart.
-struct MemDurable {
-  std::uint64_t stable_ts = 0;
-  std::uint64_t stable_val = 0;
-  void persist(std::uint64_t ts, const std::uint64_t& val) {
-    stable_ts = ts;
-    stable_val = val;
-  }
-};
-
-// One in-process fleet replica: the protocol core behind a socket.
-void serve_replica(const net::real::TransportConfig& tc,
-                   const std::atomic<bool>& stop) {
-  net::real::SocketTransport net(tc);
-  net::abd::Replica<std::uint64_t> rep(tc.self, 1, 0);
-  MemDurable disk;
-  const auto self = static_cast<std::uint32_t>(tc.self);
-  while (!stop.load()) {
-    const auto d = net.poll(net::Deadline::after(milliseconds(5)));
-    if (!d) continue;
-    const WireMsg& m = d->msg;
-    if (m.type == MsgType::kStore) {
-      if (const auto ts = rep.on_store(disk, m.ts, m.val)) {
-        net.send(d->src, WireMsg{MsgType::kStoreAck, self, m.op, *ts, 0});
-      }
-    } else if (m.type == MsgType::kQuery) {
-      const auto s = rep.on_query();
-      net.send(d->src, WireMsg{MsgType::kQueryReply, self, m.op, s->ts,
-                               s->val});
-    }
-  }
-}
-
-WireMsg ask(ServerClient& client, const WireMsg& req) {
-  EXPECT_TRUE(client.send(req));
-  const std::optional<WireMsg> resp = client.recv(milliseconds(5000));
-  EXPECT_TRUE(resp.has_value());
-  return resp.value_or(WireMsg{});
-}
 
 TEST(ServerSeedTest, UnseededWriteIsBusyAndSeedingResumesOnceFleetIsUp) {
   ScratchDir dir;
@@ -108,15 +48,7 @@ TEST(ServerSeedTest, UnseededWriteIsBusyAndSeedingResumesOnceFleetIsUp) {
   EXPECT_EQ(early.type, MsgType::kBusyResp);
 
   // The fleet comes up already holding ts 5 (another writer's state).
-  std::atomic<bool> stop_fleet{false};
-  std::vector<std::thread> fleet;
-  for (int r = 0; r < cfg.replicas(); ++r) {
-    net::real::TransportConfig tc;
-    tc.self = r;
-    tc.replicas = cfg.replicas();
-    tc.dir = cfg.fleet_dir;
-    fleet.emplace_back(serve_replica, tc, std::cref(stop_fleet));
-  }
+  InProcessFleet fleet(cfg);
   {
     net::real::TransportConfig tc;
     tc.self = cfg.replicas() + 2;  // after the server's two fleet clients
@@ -140,8 +72,6 @@ TEST(ServerSeedTest, UnseededWriteIsBusyAndSeedingResumesOnceFleetIsUp) {
 
   stop_server.store(true);
   front.join();
-  stop_fleet.store(true);
-  for (std::thread& t : fleet) t.join();
   const Server::Conservation c = server.conservation();
   EXPECT_TRUE(c.ok);
   EXPECT_EQ(c.received, 3u);

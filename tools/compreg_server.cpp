@@ -119,6 +119,11 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   if (cfg.front_dir.empty()) cfg.front_dir = cfg.fleet_dir + "/front";
+  Server server(cfg);
+  if (!server.plan_error().empty()) {
+    std::fprintf(stderr, "bad --plan: %s\n", server.plan_error().c_str());
+    return kExitUsage;
+  }
 
   {
     const std::string cmd = "mkdir -p '" + cfg.front_dir + "'";
@@ -162,7 +167,6 @@ int main(int argc, char** argv) {
               cfg.max_inflight);
   std::fflush(stdout);
 
-  Server server(cfg);
   server.run(g_stop);
 
   const auto snap = server.registry().snapshot();
