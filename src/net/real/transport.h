@@ -8,9 +8,9 @@
 // retry budgets, Unavailable degradation and rejoin catch-up above the
 // seam are the same code on both sides, so the DPOR certificates cover
 // the protocol the fleet runs; below the seam (framing, sockets, epoll,
-// real processes and clocks) is checked by the verify_net_real and
-// compreg_loadgen chaos runs instead (docs/fault_model.md, "Real
-// transport").
+// real processes and clocks) is checked by the compreg_loadgen chaos
+// runs instead, --direct and through the daemon (docs/fault_model.md,
+// "Real transport").
 //
 // SocketTransport is the concrete backend: nonblocking stream sockets
 // (Unix-domain by default, TCP loopback optionally), one epoll set per

@@ -3,8 +3,8 @@
 // frame reassembler, file-backed durability, loopback socket delivery
 // (UDS and TCP), the cross-thread wake() of a blocking poll, and the
 // FaultyTransport decorator's drop/partition behavior. The
-// multi-process, kill-9 behavior is covered by the tools/verify_net_real
-// harness, not here.
+// multi-process, kill-9 behavior is covered by `compreg_loadgen --direct`
+// (tools/compreg_loadgen.cpp), not here.
 #include "net/real/transport.h"
 
 #include <gtest/gtest.h>

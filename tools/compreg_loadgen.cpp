@@ -1,14 +1,14 @@
-// compreg_loadgen: multi-client soak driver for the register service.
+// compreg_loadgen: the fleet harness. It spawns the 2f+1 ABD replica
+// fleet (re-executing itself with --replica), drives it from N
+// concurrent clients while optionally SIGKILLing and restarting fleet
+// replicas mid-traffic (`--kills N`), and certifies the run, not just
+// measures it. Two modes share the options, the fleet start-up, the
+// watchdog and replay line, the kill-9 cycle loop and the verdict.
 //
-// The harness owns the whole stack: it spawns the 2f+1 replica fleet
-// (re-executing itself with --replica, like verify_net_real), spawns a
-// compreg_server daemon fronting that fleet, and then drives N
-// concurrent client connections (ServerClient, UDS or TCP) with a mixed
-// write/read workload while optionally SIGKILLing and restarting fleet
-// replicas mid-traffic.
-//
-// Every operation is recorded in a global logical-clock history and the
-// run is certified, not just measured:
+// Daemon mode (the default) spawns a compreg_server daemon in front of
+// the fleet; the clients are ServerClient connections (UDS or TCP) with
+// a mixed write/read workload. Every operation is recorded in a global
+// logical-clock history and certified by:
 //
 //   * the funneled atomicity checker (lin/register_checker.h): the
 //     server assigns every write a timestamp from one monotone
@@ -30,8 +30,32 @@
 //     final probe read must observe at least the largest acknowledged
 //     write timestamp (end-to-end durability through kill-9 cycles).
 //
-// `--bench-json FILE` additionally emits BENCH_server.json
-// (schema_version 1, validated by tools/check_bench_schema.py).
+// Direct mode (`--direct`) has no daemon: the harness's own clients run
+// ABD against the fleet through RealAbdClient, each over its own
+// FaultyTransport, so the --plan applies at the clients' socket boundary
+// too. Client 1 is the single writer, doing --ops writes with value ==
+// ts; clients 2..N read until it finishes. Certified by:
+//
+//   * the SWMR atomicity checker, with Unavailable writes recorded
+//     pending (they may still take effect, they cannot un-happen);
+//   * val == ts on every read: corruption the checker cannot see;
+//   * the kill-9 durability audit: every restarted replica's reloaded
+//     durable timestamp must cover every ack a client received from it
+//     before the kill — persist-before-ack against real SIGKILLs.
+//
+// `--direct --kill-majority` instead SIGKILLs f+1 replicas after a
+// warmup; min(--ops, 50) writes and one read must each degrade to an
+// explicit Unavailable within the retry budget — no hang, no value.
+//
+// Flags both modes read: --f --kind --base-port --dir --plan --clients
+// --ops --kills --seed --attempt-ms --max-attempts --watchdog
+// --bench-json --out. Daemon mode only: --front-port --write-pct
+// --max-inflight --op-timeout-ms --server-bin. Direct mode only:
+// --kill-majority. A malformed value exits 64 (`bad --<flag>: <value>`).
+//
+// `--bench-json FILE` writes one row (schema_version 1, validated by
+// tools/check_bench_schema.py): bench `server` (E20) in daemon mode,
+// bench `transport` (E18) in direct mode.
 //
 // Exit codes: 0 clean, 1 violation (artifact written), 2 watchdog hang,
 // 64 usage.
@@ -57,6 +81,8 @@
 #include "lin/history.h"
 #include "lin/register_checker.h"
 #include "net/net_plan.h"
+#include "net/real/client.h"
+#include "net/real/fault_transport.h"
 #include "net/real/supervisor.h"
 #include "net/real/transport.h"
 #include "net/real/wire.h"
@@ -74,39 +100,53 @@ using compreg::lin::RegisterHistory;
 using compreg::lin::RegRead;
 using compreg::lin::RegWrite;
 using compreg::net::NetFaultPlan;
+using compreg::net::real::FaultyTransport;
 using compreg::net::real::MsgType;
+using compreg::net::real::RealAbdClient;
+using compreg::net::real::RealClientConfig;
+using compreg::net::real::SocketTransport;
+using compreg::net::real::TransportConfig;
 using compreg::net::real::TransportKind;
 using compreg::net::real::WireMsg;
 using compreg::server::ClientConfig;
 using compreg::server::make_read_req;
 using compreg::server::make_write_req;
 using compreg::server::ServerClient;
+using compreg::tools::AckRec;
 using compreg::tools::Artifact;
+using compreg::tools::audit_durability;
 using compreg::tools::epoch_to_ns;
+using compreg::tools::FlagReader;
 using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
+using compreg::tools::kind_name;
 using compreg::tools::LiveState;
+using compreg::tools::mix_seed;
 using compreg::tools::percentile_us;
+using compreg::tools::run_kill_cycles;
 using compreg::tools::run_replica_child;
 using compreg::tools::SteadyPoint;
 using compreg::tools::Watchdog;
 using compreg::tools::write_artifact;
 using compreg::Rng;
+using Findings = std::vector<std::string>;
 
 // ---------------------------------------------------------------------------
 // Options
 
 struct Options {
+  bool direct = false;         // clients speak ABD to the fleet, no daemon
+  bool kill_majority = false;  // direct only: the Unavailable demo
   int f = 1;
   TransportKind kind = TransportKind::kUds;
   int base_port = 47900;   // fleet-facing
   int front_port = 47950;  // client-facing (TCP only)
   std::string dir;         // empty: mkdtemp under /tmp
-  std::string plan_text;   // socket-level fault plan (replicas + server)
+  std::string plan_text;   // socket-level fault plan (every endpoint)
   int clients = 8;
-  std::uint64_t ops = 100;  // per client
+  std::uint64_t ops = 100;  // per client (direct: the writer's writes)
   unsigned write_pct = 20;
   int kills = 0;
   std::uint64_t seed = 1;
@@ -120,30 +160,29 @@ struct Options {
   Artifact artifact;
 
   int replicas() const { return 2 * f + 1; }
-  const char* kind_name() const {
-    return kind == TransportKind::kTcp ? "tcp" : "uds";
-  }
-  FleetConfig fleet_config() const {
-    FleetConfig cfg;
-    cfg.f = f;
-    cfg.kind = kind;
-    cfg.base_port = base_port;
-    cfg.dir = dir;
-    cfg.plan_text = plan_text;
-    cfg.seed = seed;
-    return cfg;
-  }
 };
 
-std::string replay_command(const Options& opt) {
+// The flags that define the scenario: the artifact's config line and,
+// with the seed swapped in, the replay command.
+std::string command_line(const Options& opt) {
   std::ostringstream os;
-  os << "compreg_loadgen --f " << opt.f << " --kind " << opt.kind_name()
-     << " --clients " << opt.clients << " --ops " << opt.ops
-     << " --write-pct " << opt.write_pct << " --kills " << opt.kills
-     << " --seed " << opt.seed << " --max-inflight " << opt.max_inflight;
+  os << "compreg_loadgen" << (opt.direct ? " --direct" : "")
+     << (opt.kill_majority ? " --kill-majority" : "") << " --f " << opt.f
+     << " --kind " << kind_name(opt.kind) << " --clients " << opt.clients
+     << " --ops " << opt.ops << " --kills " << opt.kills << " --seed "
+     << opt.seed << " --attempt-ms " << opt.attempt_ms << " --max-attempts "
+     << opt.max_attempts;
+  if (!opt.direct) {
+    os << " --write-pct " << opt.write_pct << " --max-inflight "
+       << opt.max_inflight;
+  }
   if (!opt.plan_text.empty()) os << " --plan '" << opt.plan_text << "'";
-  os << "  # wall-clock soak: replays the scenario, not the schedule";
   return os.str();
+}
+
+std::string replay_command(const Options& opt) {
+  return command_line(opt) +
+         "  # wall-clock run: replays the scenario, not the schedule";
 }
 
 std::string default_server_bin() {
@@ -157,6 +196,29 @@ std::string default_server_bin() {
   return path.substr(0, slash) + "/compreg_server";
 }
 
+// Writes a one-row BENCH_*.json (schema_version 1, checked by
+// tools/check_bench_schema.py); `row` is the body of the row object.
+bool write_bench_json(const std::string& path, const char* bench,
+                      const std::string& row) {
+  std::ofstream out(path);
+  out << "{\n  \"schema_version\": 1,\n  \"bench\": \"" << bench
+      << "\",\n  \"rows\": [\n    {" << row << "}\n  ]\n}\n";
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("bench: wrote %s\n", path.c_str());
+  return true;
+}
+
+std::uint64_t elapsed_ns(SteadyPoint t0, SteadyPoint t1) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+// ---------------------------------------------------------------------------
+// Daemon mode: client workers
+
 // Payloads encode their writer: val = (client id << 32) | op seq. The
 // initial value 0 decodes to client 0, which is the server itself and
 // never a workload client, so it can't collide with a real write.
@@ -164,9 +226,6 @@ std::uint64_t encode_val(std::uint32_t client, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(client) << 32) |
          (seq & 0xffffffffull);
 }
-
-// ---------------------------------------------------------------------------
-// Client workers
 
 struct LostWrite {
   std::uint64_t seq = 0;
@@ -285,9 +344,7 @@ void client_main(const Options& opt, const std::string& front_dir,
           out.writes.push_back(RegWrite{resp->ts, start, end});
           out.write_vals.push_back(val);
           out.max_acked_ts = std::max(out.max_acked_ts, resp->ts);
-          out.latencies_ns.push_back(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count()));
+          out.latencies_ns.push_back(elapsed_ns(t0, t1));
           break;
         case MsgType::kReadOk:
           if (is_write) {
@@ -296,9 +353,7 @@ void client_main(const Options& opt, const std::string& front_dir,
           }
           out.reads.push_back(
               ReadRec{RegRead{resp->ts, start, end}, resp->val});
-          out.latencies_ns.push_back(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count()));
+          out.latencies_ns.push_back(elapsed_ns(t0, t1));
           break;
         case MsgType::kUnavailableResp:
           if (is_write) {
@@ -353,6 +408,25 @@ void client_main(const Options& opt, const std::string& front_dir,
   }
 }
 
+// Reads through the daemon on a fresh connection until a ReadOk arrives
+// or `budget` runs out (Busy and timeouts are retried); returns its ts.
+std::optional<std::uint64_t> probe_read(const Options& opt,
+                                        const std::string& front_dir,
+                                        std::uint32_t id,
+                                        std::chrono::milliseconds budget) {
+  ServerClient probe(client_config(opt, front_dir, id));
+  if (!probe.connect(budget)) return std::nullopt;
+  const auto until = std::chrono::steady_clock::now() + budget;
+  for (std::uint64_t seq = 1; std::chrono::steady_clock::now() < until;
+       ++seq) {
+    if (!probe.send(make_read_req(id, seq))) break;
+    const auto m = probe.recv(std::chrono::milliseconds(1000));
+    if (m && m->op == seq && m->type == MsgType::kReadOk) return m->ts;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return std::nullopt;
+}
+
 // ---------------------------------------------------------------------------
 // Server stats file (written by compreg_server at shutdown)
 
@@ -399,31 +473,17 @@ ServerStats parse_server_stats(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// The soak run
+// Daemon mode: the soak run
 
-int run_soak(const Options& opt, LiveState& live,
-             std::atomic<std::uint64_t>& progress) {
-  const SteadyPoint epoch = std::chrono::steady_clock::now();
-  live.set(opt.seed, "", opt.plan_text);
-
-  Fleet fleet(opt.fleet_config(), epoch);
-  if (!fleet.start()) return kExitViolation;
-  if (!fleet.wait_all_serving(std::chrono::milliseconds(15000))) {
-    write_artifact(opt.artifact, "fleet startup failure", opt.seed, "",
-                   opt.plan_text, "", replay_command(opt),
-                   "a replica never logged 'serving' within 15s of spawn",
-                   nullptr);
-    return kExitViolation;
-  }
-  progress.fetch_add(1);
-
+Findings run_soak(const Options& opt, Fleet& fleet, SteadyPoint epoch,
+                  std::atomic<std::uint64_t>& progress) {
   const std::string front_dir = fleet.dir() + "/front";
   const std::string stats_path = fleet.dir() + "/server_stats.txt";
   const int server_node = opt.replicas();  // supervisor slot, not a replica
   {
     std::vector<std::string> argv = {
         opt.server_bin,
-        "--kind", opt.kind_name(),
+        "--kind", kind_name(opt.kind),
         "--f", std::to_string(opt.f),
         "--dir", fleet.dir(),
         "--front-dir", front_dir,
@@ -443,38 +503,15 @@ int run_soak(const Options& opt, LiveState& live,
     fleet.sup().spawn(server_node, argv);
   }
 
-  // Warmup probe: the server is up once a read round-trips. Busy and
-  // timeouts are retried — the daemon may still be seeding its write
-  // timestamp from the initial collect.
-  {
-    ServerClient probe(client_config(opt, front_dir, 1000000));
-    bool up = false;
-    if (probe.connect(std::chrono::milliseconds(15000))) {
-      const auto until =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      std::uint64_t probe_seq = 0;
-      while (std::chrono::steady_clock::now() < until) {
-        if (!probe.send(make_read_req(1000000, ++probe_seq))) break;
-        auto m = probe.recv(std::chrono::milliseconds(1000));
-        if (m && m->op == probe_seq && m->type == MsgType::kReadOk) {
-          up = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    }
-    if (!up) {
-      write_artifact(opt.artifact, "server startup failure", opt.seed, "",
-                     opt.plan_text, "", replay_command(opt),
-                     "no ReadOk from the daemon within 15s of spawn",
-                     nullptr);
-      return kExitViolation;
-    }
+  // Warmup probe: the server is up once a read round-trips (it may still
+  // be seeding its write timestamp from the initial collect).
+  if (!probe_read(opt, front_dir, 1000000, std::chrono::seconds(15))) {
+    return {"server startup: no ReadOk from the daemon within 15s"};
   }
   progress.fetch_add(1);
   std::printf("loadgen: fleet + server up (kind=%s f=%d), driving %d "
               "clients x %" PRIu64 " ops\n",
-              opt.kind_name(), opt.f, opt.clients, opt.ops);
+              kind_name(opt.kind), opt.f, opt.clients, opt.ops);
 
   LogicalClock clock;
   std::atomic<std::uint64_t> ops_done{0};
@@ -489,36 +526,13 @@ int run_soak(const Options& opt, LiveState& live,
     });
   }
 
-  // Kill-9 chaos over the fleet (never the server): spread cycles across
-  // the op stream, wait for each victim's rejoin before the next.
-  std::vector<std::string> findings;
+  // Kill-9 chaos over the fleet, never the server.
+  Findings findings;
   const std::uint64_t total_ops =
       static_cast<std::uint64_t>(opt.clients) * opt.ops;
-  for (int k = 0; k < opt.kills; ++k) {
-    const std::uint64_t threshold =
-        total_ops * static_cast<std::uint64_t>(k + 1) /
-        static_cast<std::uint64_t>(opt.kills + 1);
-    while (ops_done.load(std::memory_order_relaxed) < threshold) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const int victim = k % opt.replicas();
-    const int seen = fleet.serving_count(victim);
-    std::printf("loadgen: kill-9 cycle %d/%d -> replica %d\n", k + 1,
-                opt.kills, victim);
-    fleet.sup().kill9(victim);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));  // downtime
-    fleet.spawn(victim);
-    progress.fetch_add(1);
-    if (!fleet.wait_serving(victim, seen + 1,
-                            std::chrono::milliseconds(30000))) {
-      std::ostringstream os;
-      os << "recovery: replica " << victim
-         << " did not rejoin (no new 'serving' line) within 30s of restart";
-      findings.push_back(os.str());
-      break;
-    }
-    progress.fetch_add(1);
-  }
+  const std::string recovery =
+      run_kill_cycles(fleet, opt.kills, total_ops, ops_done, progress);
+  if (!recovery.empty()) findings.push_back(recovery);
 
   for (std::thread& t : threads) t.join();
   const auto t_end = std::chrono::steady_clock::now();
@@ -642,26 +656,14 @@ int run_soak(const Options& opt, LiveState& live,
   // least the largest acknowledged write timestamp — through every
   // kill-9 cycle. (Also exercises batched reads' freshness end-to-end.)
   if (max_acked > 0) {
-    ServerClient probe(client_config(opt, front_dir, 1000001));
-    std::uint64_t seen_ts = 0;
-    bool got = false;
-    if (probe.connect(std::chrono::milliseconds(5000))) {
-      std::uint64_t probe_seq = 0;
-      for (int attempt = 0; attempt < 20 && !got; ++attempt) {
-        if (!probe.send(make_read_req(1000001, ++probe_seq))) break;
-        auto m = probe.recv(std::chrono::milliseconds(2000));
-        if (m && m->op == probe_seq && m->type == MsgType::kReadOk) {
-          seen_ts = m->ts;
-          got = true;
-        }
-      }
-    }
-    if (!got) {
+    const auto seen_ts =
+        probe_read(opt, front_dir, 1000001, std::chrono::seconds(40));
+    if (!seen_ts) {
       findings.push_back("durability: the post-run probe read never "
                          "completed against a full fleet");
-    } else if (seen_ts < max_acked) {
+    } else if (*seen_ts < max_acked) {
       findings.push_back("durability: probe read returned ts " +
-                         std::to_string(seen_ts) +
+                         std::to_string(*seen_ts) +
                          " < largest acknowledged write ts " +
                          std::to_string(max_acked));
     }
@@ -706,14 +708,9 @@ int run_soak(const Options& opt, LiveState& live,
               st.batch_rounds);
 
   if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", opt.bench_json.c_str());
-      return kExitViolation;
-    }
-    out << "{\n  \"schema_version\": 1,\n  \"bench\": \"server\",\n"
-        << "  \"rows\": [\n    {\"experiment\": \"E20\", \"kind\": \""
-        << opt.kind_name() << "\", \"clients\": " << opt.clients
+    std::ostringstream row;
+    row << "\"experiment\": \"E20\", \"kind\": \"" << kind_name(opt.kind)
+        << "\", \"clients\": " << opt.clients
         << ", \"write_pct\": " << opt.write_pct << ", \"ops\": " << completed
         << ", \"secs\": " << secs << ", \"throughput_ops_per_s\": " << thr
         << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
@@ -727,22 +724,284 @@ int run_soak(const Options& opt, LiveState& live,
         << ", \"busy\": " << busy << ", \"timeouts\": " << timeouts
         << ", \"batch_occupancy_mean\": " << st.batch_mean
         << ", \"batch_rounds\": " << st.batch_rounds
-        << ", \"kills\": " << opt.kills << "}\n  ]\n}\n";
-    std::printf("bench: wrote %s\n", opt.bench_json.c_str());
+        << ", \"kills\": " << opt.kills;
+    if (!write_bench_json(opt.bench_json, "server", row.str())) {
+      findings.push_back("bench: cannot write " + opt.bench_json);
+    }
+  }
+  return findings;
+}
+
+// ---------------------------------------------------------------------------
+// Direct mode: the harness's clients run ABD against the fleet
+
+struct DirectOut {
+  std::vector<RegWrite> writes;
+  std::vector<RegRead> reads;
+  std::vector<AckRec> acks;
+  std::vector<std::uint64_t> latencies_ns;
+  std::uint64_t unavailable_reads = 0;
+  std::uint64_t pending_writes = 0;
+  std::uint64_t value_mismatches = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t frames_sent = 0;
+};
+
+// One client endpoint of the fleet: node `node`'s socket, the fault
+// plan at its boundary, and the ABD client over both.
+struct DirectClient {
+  DirectClient(const Options& opt, const Fleet& fleet, SteadyPoint epoch,
+               int node, const NetFaultPlan& plan, std::uint64_t seed)
+      : socket(TransportConfig{opt.kind, node, opt.replicas(), fleet.dir(),
+                               static_cast<std::uint16_t>(opt.base_port)}),
+        net(socket, plan, seed, epoch),
+        abd(net,
+            RealClientConfig{opt.f, std::chrono::milliseconds(opt.attempt_ms),
+                             opt.max_attempts},
+            epoch) {}
+
+  SocketTransport socket;
+  FaultyTransport net;
+  RealAbdClient abd;
+};
+
+// Client `id` (1-based) runs on node replicas + id - 1. Client 1 is the
+// single writer: ts sequence 1..ops with value == ts, so a read's value
+// is its write id and corruption is detectable. The others read until
+// `writer_done`.
+void direct_client_main(const Options& opt, const Fleet& fleet,
+                        SteadyPoint epoch, int id, LogicalClock& clock,
+                        std::atomic<std::uint64_t>& progress,
+                        std::atomic<std::uint64_t>& writes_done,
+                        const std::atomic<bool>& writer_done,
+                        DirectOut& out) {
+  const int node = opt.replicas() + id - 1;
+  DirectClient c(opt, fleet, epoch, node,
+                 NetFaultPlan::parse(opt.plan_text).value_or(NetFaultPlan{}),
+                 mix_seed(opt.seed, id == 1 ? 1 : node));
+  c.abd.set_ack_hook([&](int replica, std::uint64_t ts, std::int64_t t_ns) {
+    out.acks.push_back(AckRec{replica, ts, t_ns});
+  });
+  if (id == 1) {
+    for (std::uint64_t i = 0; i < opt.ops; ++i) {
+      const std::uint64_t ts = c.abd.next_write_ts();
+      const std::uint64_t start = clock.tick();
+      const auto t0 = std::chrono::steady_clock::now();
+      const bool ok = c.abd.try_write(ts, ts);
+      const auto t1 = std::chrono::steady_clock::now();
+      const std::uint64_t end = clock.tick();
+      out.writes.push_back(RegWrite{ts, start, ok ? end : kPendingEnd});
+      if (!ok) ++out.pending_writes;
+      out.latencies_ns.push_back(elapsed_ns(t0, t1));
+      progress.fetch_add(1, std::memory_order_relaxed);
+      writes_done.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else {
+    while (!writer_done.load(std::memory_order_relaxed)) {
+      const std::uint64_t start = clock.tick();
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto result = c.abd.try_read();
+      const auto t1 = std::chrono::steady_clock::now();
+      const std::uint64_t end = clock.tick();
+      if (result.ok) {
+        // value == write id by construction; a mismatch is corruption
+        // the atomicity checker could never see (it only sees ids).
+        if (result.val != result.ts) ++out.value_mismatches;
+        out.reads.push_back(RegRead{result.ts, start, end});
+        out.latencies_ns.push_back(elapsed_ns(t0, t1));
+      } else {
+        ++out.unavailable_reads;
+      }
+      progress.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  out.retries = c.abd.stats().retries;
+  out.frames_sent = c.socket.stats().sent;
+}
+
+Findings run_direct(const Options& opt, Fleet& fleet, SteadyPoint epoch,
+                    std::atomic<std::uint64_t>& progress) {
+  LogicalClock clock;
+  std::atomic<bool> writer_done{false};
+  std::atomic<std::uint64_t> writes_done{0};
+  std::vector<DirectOut> outs(static_cast<std::size_t>(opt.clients));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(opt.clients));
+  const auto t_start = std::chrono::steady_clock::now();
+  for (int c = 0; c < opt.clients; ++c) {
+    threads.emplace_back([&, c] {
+      direct_client_main(opt, fleet, epoch, c + 1, clock, progress,
+                         writes_done, writer_done,
+                         outs[static_cast<std::size_t>(c)]);
+    });
   }
 
-  if (!findings.empty()) {
-    std::ostringstream dump;
-    for (const std::string& f : findings) dump << f << "\n";
-    write_artifact(opt.artifact, "violation", opt.seed, "", opt.plan_text, "",
-                   replay_command(opt), findings.front(), nullptr,
-                   dump.str());
-    std::printf("compreg_loadgen: FAIL (%zu finding%s)\n", findings.size(),
-                findings.size() == 1 ? "" : "s");
-    return kExitViolation;
+  Findings findings;
+  const std::string recovery =
+      run_kill_cycles(fleet, opt.kills, opt.ops, writes_done, progress);
+  if (!recovery.empty()) findings.push_back(recovery);
+
+  threads[0].join();
+  writer_done.store(true);
+  for (std::size_t c = 1; c < threads.size(); ++c) threads[c].join();
+  const auto t_end = std::chrono::steady_clock::now();
+  fleet.sup().terminate_all(std::chrono::milliseconds(2000));
+
+  // Assemble and check the global history.
+  RegisterHistory history;
+  std::vector<AckRec> acks;
+  std::vector<std::uint64_t> latencies;
+  std::uint64_t unavailable_reads = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t frames = 0;
+  for (const DirectOut& out : outs) {
+    history.writes.insert(history.writes.end(), out.writes.begin(),
+                          out.writes.end());
+    history.reads.insert(history.reads.end(), out.reads.begin(),
+                         out.reads.end());
+    acks.insert(acks.end(), out.acks.begin(), out.acks.end());
+    latencies.insert(latencies.end(), out.latencies_ns.begin(),
+                     out.latencies_ns.end());
+    unavailable_reads += out.unavailable_reads;
+    mismatches += out.value_mismatches;
+    retries += out.retries;
+    frames += out.frames_sent;
   }
-  std::printf("compreg_loadgen: PASS\n");
-  return 0;
+  const auto lin = compreg::lin::check_register_atomicity(history);
+  if (!lin.ok) findings.push_back("linearizability: " + lin.violation);
+  if (mismatches != 0) {
+    findings.push_back("corruption: " + std::to_string(mismatches) +
+                       " reads returned val != ts");
+  }
+  int cycles_audited = 0;
+  const Findings durability = audit_durability(
+      fleet.sup().events(), fleet.starts(), acks, &cycles_audited);
+  findings.insert(findings.end(), durability.begin(), durability.end());
+
+  const std::uint64_t pending = outs[0].pending_writes;
+  const std::uint64_t ops =
+      history.writes.size() + history.reads.size() + unavailable_reads;
+  const double secs = std::chrono::duration<double>(t_end - t_start).count();
+  const double thr = secs > 0 ? static_cast<double>(ops) / secs : 0;
+  const double p50 = percentile_us(latencies, 0.50);
+  const double p99 = percentile_us(latencies, 0.99);
+  const double retries_per_op =
+      static_cast<double>(retries) / static_cast<double>(ops);
+  const double msgs_per_op =
+      static_cast<double>(frames) / static_cast<double>(ops);
+  std::printf("history: writes=%zu (pending %" PRIu64 ") reads=%zu "
+              "(unavailable %" PRIu64 ")\n",
+              history.writes.size(), pending, history.reads.size(),
+              unavailable_reads);
+  std::printf("lin: %s\n", lin.ok ? "OK" : lin.violation.c_str());
+  std::printf("durability: %s (%d kill cycle%s audited, %zu acks)\n",
+              durability.empty() ? "OK" : "VIOLATION", cycles_audited,
+              cycles_audited == 1 ? "" : "s", acks.size());
+  std::printf("direct: %" PRIu64 " ops in %.2fs = %.0f ops/s, p50=%.1fus "
+              "p99=%.1fus retries/op=%.4f msgs/op=%.2f\n",
+              ops, secs, thr, p50, p99, retries_per_op, msgs_per_op);
+
+  if (!opt.bench_json.empty()) {
+    std::ostringstream row;
+    row << "\"experiment\": \"E18\", \"kind\": \"" << kind_name(opt.kind)
+        << "\", \"f\": " << opt.f << ", \"plan\": \""
+        << (opt.plan_text.empty() ? "none" : opt.plan_text)
+        << "\", \"ops\": " << ops << ", \"throughput_ops_per_s\": " << thr
+        << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
+        << ", \"retries_per_op\": " << retries_per_op
+        << ", \"msgs_per_op\": " << msgs_per_op
+        << ", \"pending_writes\": " << pending
+        << ", \"unavailable_reads\": " << unavailable_reads
+        << ", \"kills\": " << opt.kills;
+    if (!write_bench_json(opt.bench_json, "transport", row.str())) {
+      findings.push_back("bench: cannot write " + opt.bench_json);
+    }
+  }
+  return findings;
+}
+
+// Kill-majority: with f+1 of 2f+1 replicas SIGKILLed, every operation
+// must degrade to an explicit Unavailable within its bounded retry
+// budget. The watchdog guards against hangs; the per-op bound guards
+// against unbounded-but-moving retries.
+Findings run_kill_majority(const Options& opt, Fleet& fleet,
+                           SteadyPoint epoch,
+                           std::atomic<std::uint64_t>& progress) {
+  DirectClient c(opt, fleet, epoch, opt.replicas(), NetFaultPlan{}, opt.seed);
+  // Warmup: with the full fleet up, writes must succeed.
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t ts = c.abd.next_write_ts();
+    if (!c.abd.try_write(ts, ts)) {
+      return {"kill-majority: warmup write " + std::to_string(i) +
+              " failed with the full fleet up"};
+    }
+    progress.fetch_add(1);
+  }
+
+  for (int node = 0; node <= opt.f; ++node) fleet.sup().kill9(node);
+  std::printf("kill-majority: %d of %d replicas SIGKILLed\n", opt.f + 1,
+              opt.replicas());
+
+  // Each attempt waits attempt_ms plus at most the 64 ms backoff cap;
+  // 32 ms of slack, then 4x headroom for a loaded host.
+  const auto per_op_budget = std::chrono::milliseconds(
+      static_cast<std::int64_t>(opt.max_attempts) *
+      (static_cast<std::int64_t>(opt.attempt_ms) + 96) * 4);
+  const std::uint64_t attempts = std::min<std::uint64_t>(opt.ops, 50);
+  for (std::uint64_t i = 0; i < attempts; ++i) {
+    const std::uint64_t ts = c.abd.next_write_ts();
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool ok = c.abd.try_write(ts, ts);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    progress.fetch_add(1);
+    if (ok) {
+      return {"kill-majority: write " + std::to_string(i) +
+              " claimed success without a quorum"};
+    }
+    if (elapsed > per_op_budget) {
+      return {"kill-majority: write " + std::to_string(i) +
+              " took longer than the retry budget allows (not a bounded "
+              "degradation)"};
+    }
+  }
+  if (c.abd.try_read().ok) return {"kill-majority: read claimed success"};
+  std::printf("kill-majority: %" PRIu64 "/%" PRIu64
+              " writes and 1/1 reads degraded to explicit Unavailable "
+              "(bounded, no hangs, no wrong values)\n",
+              attempts, attempts);
+  return {};
+}
+
+// ---------------------------------------------------------------------------
+// Shared by both modes: fleet start-up and the verdict
+
+bool start_fleet(const Options& opt, Fleet& fleet,
+                 std::atomic<std::uint64_t>& progress) {
+  if (!fleet.start()) return false;
+  if (!fleet.wait_all_serving(std::chrono::milliseconds(15000))) {
+    write_artifact(opt.artifact, "fleet startup failure", opt.seed, "",
+                   opt.plan_text, "", replay_command(opt),
+                   "a replica never logged 'serving' within 15s of spawn",
+                   nullptr);
+    return false;
+  }
+  progress.fetch_add(1);
+  return true;
+}
+
+int verdict(const Options& opt, const Findings& findings) {
+  if (findings.empty()) {
+    std::printf("compreg_loadgen: PASS\n");
+    return 0;
+  }
+  std::ostringstream dump;
+  for (const std::string& f : findings) dump << f << "\n";
+  write_artifact(opt.artifact, "violation", opt.seed, "", opt.plan_text, "",
+                 replay_command(opt), findings.front(), nullptr, dump.str());
+  std::printf("compreg_loadgen: FAIL (%zu finding%s)\n", findings.size(),
+              findings.size() == 1 ? "" : "s");
+  return kExitViolation;
 }
 
 }  // namespace
@@ -756,58 +1015,52 @@ int main(int argc, char** argv) {
   opt.artifact.tool = "compreg_loadgen";
   opt.artifact.path = "compreg_loadgen_failure.txt";
   opt.server_bin = default_server_bin();
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(kExitUsage);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--f")) {
-      opt.f = std::atoi(next("--f"));
-    } else if (!std::strcmp(argv[i], "--kind")) {
-      opt.kind = !std::strcmp(next("--kind"), "tcp") ? TransportKind::kTcp
-                                                     : TransportKind::kUds;
-    } else if (!std::strcmp(argv[i], "--base-port")) {
-      opt.base_port = std::atoi(next("--base-port"));
-    } else if (!std::strcmp(argv[i], "--front-port")) {
-      opt.front_port = std::atoi(next("--front-port"));
-    } else if (!std::strcmp(argv[i], "--dir")) {
-      opt.dir = next("--dir");
-    } else if (!std::strcmp(argv[i], "--plan")) {
-      opt.plan_text = next("--plan");
-    } else if (!std::strcmp(argv[i], "--clients")) {
-      opt.clients = std::atoi(next("--clients"));
-    } else if (!std::strcmp(argv[i], "--ops")) {
-      opt.ops = std::strtoull(next("--ops"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--write-pct")) {
-      opt.write_pct = static_cast<unsigned>(std::atoi(next("--write-pct")));
-    } else if (!std::strcmp(argv[i], "--kills")) {
-      opt.kills = std::atoi(next("--kills"));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      opt.seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--attempt-ms")) {
-      opt.attempt_ms = static_cast<unsigned>(std::atoi(next("--attempt-ms")));
-    } else if (!std::strcmp(argv[i], "--max-attempts")) {
-      opt.max_attempts =
-          static_cast<unsigned>(std::atoi(next("--max-attempts")));
-    } else if (!std::strcmp(argv[i], "--max-inflight")) {
-      opt.max_inflight =
-          static_cast<std::uint32_t>(std::atoi(next("--max-inflight")));
-    } else if (!std::strcmp(argv[i], "--op-timeout-ms")) {
-      opt.op_timeout_ms =
-          static_cast<unsigned>(std::atoi(next("--op-timeout-ms")));
-    } else if (!std::strcmp(argv[i], "--watchdog")) {
-      opt.watchdog_sec = static_cast<unsigned>(std::atoi(next("--watchdog")));
-    } else if (!std::strcmp(argv[i], "--bench-json")) {
-      opt.bench_json = next("--bench-json");
-    } else if (!std::strcmp(argv[i], "--server-bin")) {
-      opt.server_bin = next("--server-bin");
-    } else if (!std::strcmp(argv[i], "--out")) {
-      opt.artifact.path = next("--out");
+  FlagReader args(argc, argv, 1);
+  while (args.next()) {
+    if (args.is("--direct")) {
+      opt.direct = true;
+    } else if (args.is("--kill-majority")) {
+      opt.kill_majority = true;
+    } else if (args.is("--f")) {
+      opt.f = args.number<int>();
+    } else if (args.is("--kind")) {
+      opt.kind = args.kind();
+    } else if (args.is("--base-port")) {
+      opt.base_port = args.number<std::uint16_t>();
+    } else if (args.is("--front-port")) {
+      opt.front_port = args.number<std::uint16_t>();
+    } else if (args.is("--dir")) {
+      opt.dir = args.value();
+    } else if (args.is("--plan")) {
+      opt.plan_text = args.value();
+    } else if (args.is("--clients")) {
+      opt.clients = args.number<int>();
+    } else if (args.is("--ops")) {
+      opt.ops = args.number<std::uint64_t>();
+    } else if (args.is("--write-pct")) {
+      opt.write_pct = args.number<unsigned>();
+    } else if (args.is("--kills")) {
+      opt.kills = args.number<int>();
+    } else if (args.is("--seed")) {
+      opt.seed = args.number<std::uint64_t>();
+    } else if (args.is("--attempt-ms")) {
+      opt.attempt_ms = args.number<unsigned>();
+    } else if (args.is("--max-attempts")) {
+      opt.max_attempts = args.number<unsigned>();
+    } else if (args.is("--max-inflight")) {
+      opt.max_inflight = args.number<std::uint32_t>();
+    } else if (args.is("--op-timeout-ms")) {
+      opt.op_timeout_ms = args.number<unsigned>();
+    } else if (args.is("--watchdog")) {
+      opt.watchdog_sec = args.number<unsigned>();
+    } else if (args.is("--bench-json")) {
+      opt.bench_json = args.value();
+    } else if (args.is("--server-bin")) {
+      opt.server_bin = args.value();
+    } else if (args.is("--out")) {
+      opt.artifact.path = args.value();
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s\n", args.flag());
       return kExitUsage;
     }
   }
@@ -815,6 +1068,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "need --f >= 1, --clients >= 1, --ops >= 1, "
                  "--write-pct in [0,100]\n");
+    return kExitUsage;
+  }
+  if (opt.kill_majority && !opt.direct) {
+    std::fprintf(stderr, "--kill-majority needs --direct\n");
     return kExitUsage;
   }
   if (!opt.plan_text.empty()) {
@@ -835,15 +1092,10 @@ int main(int argc, char** argv) {
     opt.dir = made;
     made_tmp = true;
   }
-  {
-    std::ostringstream os;
-    os << "compreg_loadgen --f " << opt.f << " --kind " << opt.kind_name()
-       << " --clients " << opt.clients << " --ops " << opt.ops << " --kills "
-       << opt.kills << " --seed " << opt.seed;
-    opt.artifact.config_line = os.str();
-  }
+  opt.artifact.config_line = command_line(opt);
 
   LiveState live;
+  live.set(opt.seed, "", opt.plan_text);
   std::atomic<std::uint64_t> progress{0};
   const Options& opt_ref = opt;
   Watchdog watchdog(
@@ -856,7 +1108,19 @@ int main(int argc, char** argv) {
       },
       nullptr);
 
-  const int rc = run_soak(opt, live, progress);
+  int rc = kExitViolation;
+  {
+    const SteadyPoint epoch = std::chrono::steady_clock::now();
+    Fleet fleet(FleetConfig{opt.f, opt.kind, opt.base_port, opt.dir,
+                            opt.plan_text, opt.seed},
+                epoch);
+    if (start_fleet(opt, fleet, progress)) {
+      const auto run = opt.kill_majority ? run_kill_majority
+                       : opt.direct      ? run_direct
+                                         : run_soak;
+      rc = verdict(opt, run(opt, fleet, epoch, progress));
+    }
+  }
   if (made_tmp && rc == 0) {
     const std::string cmd = "rm -rf '" + opt.dir + "'";
     [[maybe_unused]] const int ignored = std::system(cmd.c_str());

@@ -40,8 +40,9 @@ using compreg::server::ServerConfig;
 using compreg::tools::epoch_to_ns;
 using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
+using compreg::tools::FlagReader;
 using compreg::tools::kExitUsage;
-using compreg::tools::mix_seed;
+using compreg::tools::kind_name;
 using compreg::tools::run_replica_child;
 using compreg::net::real::TransportKind;
 
@@ -66,51 +67,42 @@ int main(int argc, char** argv) {
   std::string experiment = "E20";
   cfg.epoch_ns = epoch_to_ns(std::chrono::steady_clock::now());
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(kExitUsage);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--kind")) {
-      cfg.kind = !std::strcmp(next("--kind"), "tcp") ? TransportKind::kTcp
-                                                     : TransportKind::kUds;
-    } else if (!std::strcmp(argv[i], "--f")) {
-      cfg.f = std::atoi(next("--f"));
-    } else if (!std::strcmp(argv[i], "--dir")) {
-      cfg.fleet_dir = next("--dir");
-    } else if (!std::strcmp(argv[i], "--front-dir")) {
-      cfg.front_dir = next("--front-dir");
-    } else if (!std::strcmp(argv[i], "--base-port")) {
-      cfg.fleet_base_port = std::atoi(next("--base-port"));
-    } else if (!std::strcmp(argv[i], "--front-port")) {
-      cfg.front_base_port = std::atoi(next("--front-port"));
-    } else if (!std::strcmp(argv[i], "--max-inflight")) {
-      cfg.max_inflight =
-          static_cast<std::uint32_t>(std::atoi(next("--max-inflight")));
-    } else if (!std::strcmp(argv[i], "--attempt-ms")) {
-      cfg.attempt_ms = static_cast<unsigned>(std::atoi(next("--attempt-ms")));
-    } else if (!std::strcmp(argv[i], "--max-attempts")) {
-      cfg.max_attempts =
-          static_cast<unsigned>(std::atoi(next("--max-attempts")));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      cfg.seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--plan")) {
-      cfg.plan_text = next("--plan");
-    } else if (!std::strcmp(argv[i], "--epoch-ns")) {
-      cfg.epoch_ns = std::strtoll(next("--epoch-ns"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--stats-out")) {
-      stats_out = next("--stats-out");
-    } else if (!std::strcmp(argv[i], "--json-out")) {
-      json_out = next("--json-out");
-    } else if (!std::strcmp(argv[i], "--experiment")) {
-      experiment = next("--experiment");
-    } else if (!std::strcmp(argv[i], "--spawn-fleet")) {
+  FlagReader args(argc, argv, 1);
+  while (args.next()) {
+    if (args.is("--kind")) {
+      cfg.kind = args.kind();
+    } else if (args.is("--f")) {
+      cfg.f = args.number<int>();
+    } else if (args.is("--dir")) {
+      cfg.fleet_dir = args.value();
+    } else if (args.is("--front-dir")) {
+      cfg.front_dir = args.value();
+    } else if (args.is("--base-port")) {
+      cfg.fleet_base_port = args.number<std::uint16_t>();
+    } else if (args.is("--front-port")) {
+      cfg.front_base_port = args.number<std::uint16_t>();
+    } else if (args.is("--max-inflight")) {
+      cfg.max_inflight = args.number<std::uint32_t>();
+    } else if (args.is("--attempt-ms")) {
+      cfg.attempt_ms = args.number<unsigned>();
+    } else if (args.is("--max-attempts")) {
+      cfg.max_attempts = args.number<unsigned>();
+    } else if (args.is("--seed")) {
+      cfg.seed = args.number<std::uint64_t>();
+    } else if (args.is("--plan")) {
+      cfg.plan_text = args.value();
+    } else if (args.is("--epoch-ns")) {
+      cfg.epoch_ns = args.number<std::int64_t>();
+    } else if (args.is("--stats-out")) {
+      stats_out = args.value();
+    } else if (args.is("--json-out")) {
+      json_out = args.value();
+    } else if (args.is("--experiment")) {
+      experiment = args.value();
+    } else if (args.is("--spawn-fleet")) {
       spawn_fleet = true;
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s\n", args.flag());
       return kExitUsage;
     }
   }
@@ -139,14 +131,10 @@ int main(int argc, char** argv) {
   const auto epoch = compreg::tools::epoch_from_ns(cfg.epoch_ns);
   std::unique_ptr<Fleet> fleet;
   if (spawn_fleet) {
-    FleetConfig fc;
-    fc.f = cfg.f;
-    fc.kind = cfg.kind;
-    fc.base_port = cfg.fleet_base_port;
-    fc.dir = cfg.fleet_dir;
-    fc.plan_text = cfg.plan_text;
-    fc.seed = cfg.seed;
-    fleet = std::make_unique<Fleet>(fc, epoch);
+    fleet = std::make_unique<Fleet>(
+        FleetConfig{cfg.f, cfg.kind, cfg.fleet_base_port, cfg.fleet_dir,
+                    cfg.plan_text, cfg.seed},
+        epoch);
     // Fleet::start wipes the directory; recreate the front dir after.
     if (!fleet->start()) return 1;
     const std::string cmd = "mkdir -p '" + cfg.front_dir + "'";
@@ -163,7 +151,7 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &sa, nullptr);
 
   std::printf("compreg_server: serving (kind=%s f=%d max_inflight=%u)\n",
-              cfg.kind == TransportKind::kTcp ? "tcp" : "uds", cfg.f,
+              kind_name(cfg.kind), cfg.f,
               cfg.max_inflight);
   std::fflush(stdout);
 

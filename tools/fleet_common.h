@@ -1,17 +1,22 @@
-// Shared replica-fleet harness plumbing for the real-transport tools.
+// Shared replica-fleet plumbing for the fleet tools (compreg_server and
+// compreg_loadgen, in both its daemon and --direct modes):
 //
-// verify_net_real, compreg_server and compreg_loadgen all need the same
-// three pieces: a `--replica` child mode (the spawned binary re-executes
-// itself as a replica event loop), a Fleet wrapper around the Supervisor
-// that spawns 2f+1 replicas and parses the shared audit.log, and the
-// fleet-epoch timestamp helpers that let child processes agree with the
-// harness on one monotonic time origin. Extracted here so the register
-// service tools (tools/compreg_server.cpp, tools/compreg_loadgen.cpp)
-// reuse the exact harness the transport certifier was built on instead
-// of drifting copies.
+//   * one flag reader, so a missing or malformed value is a usage error
+//     (exit 64, `bad --<flag>: <value>`) in every tool instead of a
+//     silent fall-back to a default;
+//   * the `--replica` child mode (a spawned tool re-executes itself as a
+//     replica event loop);
+//   * Fleet, a wrapper around the Supervisor that spawns 2f+1 replicas
+//     and parses the shared audit.log;
+//   * the kill-9 cycle loop and the durability audit that judges it;
+//   * the fleet-epoch timestamp helpers that let child processes agree
+//     with the harness on one monotonic time origin.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cctype>
 #include <cinttypes>
 #include <chrono>
 #include <cstdint>
@@ -19,6 +24,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +69,74 @@ inline double percentile_us(std::vector<std::uint64_t>& ns, double q) {
 }
 
 // ---------------------------------------------------------------------------
+// Flag parsing
+
+inline const char* kind_name(net::real::TransportKind kind) {
+  return kind == net::real::TransportKind::kTcp ? "tcp" : "uds";
+}
+
+[[noreturn]] inline void bad_flag(const char* flag, const char* value) {
+  std::fprintf(stderr, "bad %s: %s\n", flag, value);
+  std::exit(kExitUsage);
+}
+
+// Decimal digits only (no sign, space or suffix), within T's range.
+template <typename T>
+T parse_unsigned(const char* flag, const char* value) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE ||
+      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    bad_flag(flag, value);
+  }
+  return static_cast<T>(v);
+}
+
+inline net::real::TransportKind parse_kind(const char* flag,
+                                           const char* value) {
+  if (!std::strcmp(value, "uds")) return net::real::TransportKind::kUds;
+  if (!std::strcmp(value, "tcp")) return net::real::TransportKind::kTcp;
+  bad_flag(flag, value);
+}
+
+// Walks argv[first..argc) one flag at a time:
+//   FlagReader args(argc, argv, 1);
+//   while (args.next()) { if (args.is("--f")) f = args.number<int>(); ... }
+class FlagReader {
+ public:
+  FlagReader(int argc, char** argv, int first)
+      : argc_(argc), argv_(argv), i_(first - 1) {}
+
+  bool next() { return ++i_ < argc_; }
+  const char* flag() const { return argv_[i_]; }
+  bool is(const char* name) const { return !std::strcmp(argv_[i_], name); }
+
+  const char* value() {
+    if (i_ + 1 >= argc_) {
+      std::fprintf(stderr, "missing value for %s\n", argv_[i_]);
+      std::exit(kExitUsage);
+    }
+    return argv_[++i_];
+  }
+  template <typename T>
+  T number() {
+    const char* name = flag();
+    return parse_unsigned<T>(name, value());
+  }
+  net::real::TransportKind kind() {
+    const char* name = flag();
+    return parse_kind(name, value());
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int i_;
+};
+
+// ---------------------------------------------------------------------------
 // Replica child mode: `<tool> --replica --node N ...`
 //
 // Every fleet tool supports the same child flags, so a supervisor can
@@ -72,34 +147,26 @@ inline int run_replica_child(int argc, char** argv) {
   net::real::ReplicaConfig cfg;
   std::string plan_text;
   std::int64_t epoch_ns = 0;
-  for (int i = 2; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "replica: missing value for %s\n", argv[i]);
-        std::exit(kExitUsage);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--node")) {
-      cfg.transport.self = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--f")) {
-      cfg.f = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--dir")) {
-      cfg.data_dir = next();
-    } else if (!std::strcmp(argv[i], "--kind")) {
-      cfg.transport.kind = !std::strcmp(next(), "tcp")
-                               ? net::real::TransportKind::kTcp
-                               : net::real::TransportKind::kUds;
-    } else if (!std::strcmp(argv[i], "--base-port")) {
-      cfg.transport.base_port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (!std::strcmp(argv[i], "--epoch-ns")) {
-      epoch_ns = std::strtoll(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--plan")) {
-      plan_text = next();
+  FlagReader args(argc, argv, 2);
+  while (args.next()) {
+    if (args.is("--node")) {
+      cfg.transport.self = args.number<int>();
+    } else if (args.is("--f")) {
+      cfg.f = args.number<int>();
+    } else if (args.is("--dir")) {
+      cfg.data_dir = args.value();
+    } else if (args.is("--kind")) {
+      cfg.transport.kind = args.kind();
+    } else if (args.is("--base-port")) {
+      cfg.transport.base_port = args.number<std::uint16_t>();
+    } else if (args.is("--epoch-ns")) {
+      epoch_ns = args.number<std::int64_t>();
+    } else if (args.is("--seed")) {
+      cfg.seed = args.number<std::uint64_t>();
+    } else if (args.is("--plan")) {
+      plan_text = args.value();
     } else {
-      std::fprintf(stderr, "replica: unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "replica: unknown flag %s\n", args.flag());
       return kExitUsage;
     }
   }
@@ -131,17 +198,73 @@ struct FleetConfig {
   std::string replica_bin = kSelfExe;  // binary spawned with --replica
 
   int replicas() const { return 2 * f + 1; }
-  const char* kind_name() const {
-    return kind == net::real::TransportKind::kTcp ? "tcp" : "uds";
-  }
 };
 
+// A replica's `start` audit-log line: what it reloaded from disk at boot.
 struct AuditStart {
   int node = -1;
   std::uint64_t durable_ts = 0;
   int existed = 0;
   std::int64_t t_ns = 0;
 };
+
+// A STORE ack a client received: (replica, ts) at t_ns since the epoch.
+struct AckRec {
+  int replica = -1;
+  std::uint64_t ts = 0;
+  std::int64_t t_ns = 0;
+};
+
+// Durability audit (real kill-9 edition).
+//
+// Invariant: for every SIGKILL of replica v at supervisor time T, the
+// next restart of v must reload durable_ts >= max{ts | some client
+// received a STORE ack (v, ts) at time < T}. An ack received before the
+// kill proves the persist completed before the kill (persist happens
+// before the ack frame leaves), so the durable file must still hold it.
+// A victim never restarted owes nothing and is not audited.
+inline std::vector<std::string> audit_durability(
+    const std::vector<net::real::ProcEvent>& events,
+    const std::vector<AuditStart>& starts, const std::vector<AckRec>& acks,
+    int* cycles_audited) {
+  std::vector<std::string> findings;
+  int audited = 0;
+  for (const net::real::ProcEvent& ev : events) {
+    if (ev.kind != net::real::ProcEvent::Kind::kKill) continue;
+    std::uint64_t acked_before_kill = 0;
+    for (const AckRec& ack : acks) {
+      if (ack.replica == ev.node && ack.t_ns < ev.t_ns) {
+        acked_before_kill = std::max(acked_before_kill, ack.ts);
+      }
+    }
+    // First restart of this node after the kill.
+    const AuditStart* restart = nullptr;
+    for (const AuditStart& s : starts) {
+      if (s.node == ev.node && s.t_ns > ev.t_ns &&
+          (restart == nullptr || s.t_ns < restart->t_ns)) {
+        restart = &s;
+      }
+    }
+    if (restart == nullptr) continue;
+    ++audited;
+    std::ostringstream os;
+    if (restart->existed == 0 && acked_before_kill > 0) {
+      os << "durability: replica " << ev.node
+         << " restarted with NO durable file but had acked ts "
+         << acked_before_kill << " before the kill";
+    } else if (restart->durable_ts < acked_before_kill) {
+      os << "durability: replica " << ev.node << " restarted with durable_ts "
+         << restart->durable_ts << " < acked ts " << acked_before_kill
+         << " (ack received before the SIGKILL at t_ns=" << ev.t_ns
+         << ") — persist-before-ack violated";
+    } else {
+      continue;
+    }
+    findings.push_back(os.str());
+  }
+  if (cycles_audited != nullptr) *cycles_audited = audited;
+  return findings;
+}
 
 class Fleet {
  public:
@@ -172,7 +295,7 @@ class Fleet {
         "--node", std::to_string(node),
         "--f", std::to_string(cfg_.f),
         "--dir", dir_,
-        "--kind", cfg_.kind_name(),
+        "--kind", kind_name(cfg_.kind),
         "--base-port", std::to_string(cfg_.base_port),
         "--epoch-ns", std::to_string(epoch_to_ns(epoch_)),
         "--seed", std::to_string(mix_seed(cfg_.seed, 100 + node)),
@@ -243,5 +366,40 @@ class Fleet {
   net::real::Supervisor sup_;
   std::string dir_;
 };
+
+// Kill-9 chaos over the fleet: `kills` SIGKILL/restart cycles spread
+// evenly across a run of `total` units of `done` (writes done in direct
+// mode, ops done in daemon mode), victims round-robin, each cycle
+// waiting for the victim's rejoin (its next 'serving' audit line) before
+// arming the next. Returns the recovery finding that cut the loop
+// short, or an empty string.
+inline std::string run_kill_cycles(Fleet& fleet, int kills,
+                                   std::uint64_t total,
+                                   const std::atomic<std::uint64_t>& done,
+                                   std::atomic<std::uint64_t>& progress) {
+  for (int k = 0; k < kills; ++k) {
+    const std::uint64_t threshold = total *
+                                    static_cast<std::uint64_t>(k + 1) /
+                                    static_cast<std::uint64_t>(kills + 1);
+    while (done.load(std::memory_order_relaxed) < threshold) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const int victim = k % fleet.config().replicas();
+    const int seen = fleet.serving_count(victim);
+    std::printf("fleet: kill-9 cycle %d/%d -> replica %d\n", k + 1, kills,
+                victim);
+    fleet.sup().kill9(victim);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));  // downtime
+    fleet.spawn(victim);
+    progress.fetch_add(1);
+    if (!fleet.wait_serving(victim, seen + 1,
+                            std::chrono::milliseconds(30000))) {
+      return "recovery: replica " + std::to_string(victim) +
+             " did not rejoin (no new 'serving' line) within 30s of restart";
+    }
+    progress.fetch_add(1);
+  }
+  return std::string();
+}
 
 }  // namespace compreg::tools

@@ -59,8 +59,8 @@ EXEMPT_DIRS = {
         "labeled schedule point would be meaningless; the protocol "
         "decisions it calls live in src/net/abd.h and are DPOR-certified "
         "through the simulator driver, while the sockets, clocks and "
-        "files here are verified by verify_net_real and compreg_loadgen "
-        "chaos/kill-9 runs"
+        "files here are verified by compreg_loadgen chaos/kill-9 runs "
+        "(--direct and through the daemon)"
     ),
 }
 
