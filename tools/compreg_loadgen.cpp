@@ -122,6 +122,7 @@ using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
 using compreg::tools::kind_name;
+using compreg::tools::parse_kind;
 using compreg::tools::LiveState;
 using compreg::tools::mix_seed;
 using compreg::tools::percentile_us;
@@ -1024,7 +1025,7 @@ int main(int argc, char** argv) {
     } else if (args.is("--f")) {
       opt.f = args.number<int>();
     } else if (args.is("--kind")) {
-      opt.kind = args.kind();
+      opt.kind = args.value(parse_kind);
     } else if (args.is("--base-port")) {
       opt.base_port = args.number<std::uint16_t>();
     } else if (args.is("--front-port")) {

@@ -43,6 +43,7 @@ using compreg::tools::FleetConfig;
 using compreg::tools::FlagReader;
 using compreg::tools::kExitUsage;
 using compreg::tools::kind_name;
+using compreg::tools::parse_kind;
 using compreg::tools::run_replica_child;
 using compreg::net::real::TransportKind;
 
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   FlagReader args(argc, argv, 1);
   while (args.next()) {
     if (args.is("--kind")) {
-      cfg.kind = args.kind();
+      cfg.kind = args.value(parse_kind);
     } else if (args.is("--f")) {
       cfg.f = args.number<int>();
     } else if (args.is("--dir")) {

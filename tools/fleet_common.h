@@ -1,9 +1,8 @@
 // Shared replica-fleet plumbing for the fleet tools (compreg_server and
 // compreg_loadgen, in both its daemon and --direct modes):
 //
-//   * one flag reader, so a missing or malformed value is a usage error
-//     (exit 64, `bad --<flag>: <value>`) in every tool instead of a
-//     silent fall-back to a default;
+//   * the --kind flag parser (the flag reader itself, shared with
+//     compreg_verify, lives in verify_common.h);
 //   * the `--replica` child mode (a spawned tool re-executes itself as a
 //     replica event loop);
 //   * Fleet, a wrapper around the Supervisor that spawns 2f+1 replicas
@@ -15,8 +14,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cctype>
 #include <cinttypes>
 #include <chrono>
 #include <cstdint>
@@ -24,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -75,66 +71,12 @@ inline const char* kind_name(net::real::TransportKind kind) {
   return kind == net::real::TransportKind::kTcp ? "tcp" : "uds";
 }
 
-[[noreturn]] inline void bad_flag(const char* flag, const char* value) {
-  std::fprintf(stderr, "bad %s: %s\n", flag, value);
-  std::exit(kExitUsage);
-}
-
-// Decimal digits only (no sign, space or suffix), within T's range.
-template <typename T>
-T parse_unsigned(const char* flag, const char* value) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
-      errno == ERANGE ||
-      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
-    bad_flag(flag, value);
-  }
-  return static_cast<T>(v);
-}
-
 inline net::real::TransportKind parse_kind(const char* flag,
                                            const char* value) {
   if (!std::strcmp(value, "uds")) return net::real::TransportKind::kUds;
   if (!std::strcmp(value, "tcp")) return net::real::TransportKind::kTcp;
   bad_flag(flag, value);
 }
-
-// Walks argv[first..argc) one flag at a time:
-//   FlagReader args(argc, argv, 1);
-//   while (args.next()) { if (args.is("--f")) f = args.number<int>(); ... }
-class FlagReader {
- public:
-  FlagReader(int argc, char** argv, int first)
-      : argc_(argc), argv_(argv), i_(first - 1) {}
-
-  bool next() { return ++i_ < argc_; }
-  const char* flag() const { return argv_[i_]; }
-  bool is(const char* name) const { return !std::strcmp(argv_[i_], name); }
-
-  const char* value() {
-    if (i_ + 1 >= argc_) {
-      std::fprintf(stderr, "missing value for %s\n", argv_[i_]);
-      std::exit(kExitUsage);
-    }
-    return argv_[++i_];
-  }
-  template <typename T>
-  T number() {
-    const char* name = flag();
-    return parse_unsigned<T>(name, value());
-  }
-  net::real::TransportKind kind() {
-    const char* name = flag();
-    return parse_kind(name, value());
-  }
-
- private:
-  int argc_;
-  char** argv_;
-  int i_;
-};
 
 // ---------------------------------------------------------------------------
 // Replica child mode: `<tool> --replica --node N ...`
@@ -156,7 +98,7 @@ inline int run_replica_child(int argc, char** argv) {
     } else if (args.is("--dir")) {
       cfg.data_dir = args.value();
     } else if (args.is("--kind")) {
-      cfg.transport.kind = args.kind();
+      cfg.transport.kind = args.value(parse_kind);
     } else if (args.is("--base-port")) {
       cfg.transport.base_port = args.number<std::uint16_t>();
     } else if (args.is("--epoch-ns")) {

@@ -1,18 +1,24 @@
-// Shared machinery of the verification drivers (verify_fuzz,
-// verify_dpor): the implementation factory, the replayable-artifact
-// writer, the mutex-shared LiveState the watchdog reads, and the
-// watchdog itself. One copy, so a hang artifact looks the same whether
-// the run that wedged was a random fuzz iteration or a DPOR-explored
-// schedule.
+// Shared machinery of the command-line tools (compreg_verify,
+// compreg_server, compreg_loadgen): the flag reader, the implementation
+// factory, the replayable-artifact writer, the mutex-shared LiveState
+// the watchdog reads, and the watchdog itself. One copy, so a malformed
+// flag is rejected the same way by every tool, and a hang artifact
+// looks the same whether the run that wedged was a random iteration, a
+// DPOR-explored schedule or a fleet soak.
 #pragma once
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,6 +40,65 @@ namespace compreg::tools {
 constexpr int kExitViolation = 1;
 constexpr int kExitWatchdog = 2;
 constexpr int kExitUsage = 64;
+
+// ---------------------------------------------------------------------------
+// Flag parsing: a missing or malformed value is a usage error (exit 64,
+// `bad --<flag>: <value>`), never a silent fall-back to a default.
+
+[[noreturn]] inline void bad_flag(const char* flag, const char* value) {
+  std::fprintf(stderr, "bad %s: %s\n", flag, value);
+  std::exit(kExitUsage);
+}
+
+// Decimal digits only (no sign, space or suffix), within T's range.
+template <typename T>
+T parse_unsigned(const char* flag, const char* value) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE ||
+      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    bad_flag(flag, value);
+  }
+  return static_cast<T>(v);
+}
+
+// Walks argv[first..argc) one flag at a time:
+//   FlagReader args(argc, argv, 1);
+//   while (args.next()) { if (args.is("--f")) f = args.number<int>(); ... }
+class FlagReader {
+ public:
+  FlagReader(int argc, char** argv, int first)
+      : argc_(argc), argv_(argv), i_(first - 1) {}
+
+  bool next() { return ++i_ < argc_; }
+  const char* flag() const { return argv_[i_]; }
+  bool is(const char* name) const { return !std::strcmp(argv_[i_], name); }
+
+  const char* value() {
+    if (i_ + 1 >= argc_) {
+      std::fprintf(stderr, "missing value for %s\n", argv_[i_]);
+      std::exit(kExitUsage);
+    }
+    return argv_[++i_];
+  }
+  // The value run through parse(flag, value), which rejects a bad one.
+  template <typename Parse>
+  auto value(Parse parse) {
+    const char* name = flag();
+    return parse(name, value());
+  }
+  template <typename T>
+  T number() {
+    return value(parse_unsigned<T>);
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int i_;
+};
 
 inline std::unique_ptr<core::Snapshot<std::uint64_t>> make_impl(
     const std::string& name, int c, int r) {
@@ -71,6 +136,13 @@ inline std::unique_ptr<core::Snapshot<std::uint64_t>> make_impl(
   return nullptr;
 }
 
+// The names make_impl accepts, plus "mw" (the multi-writer reduction,
+// which compreg_verify drives on native threads). "net" is checked by
+// name: building it needs a fabric installed.
+inline bool known_impl(const std::string& name) {
+  return name == "mw" || name == "net" || make_impl(name, 1, 1) != nullptr;
+}
+
 // What the driver is doing *right now*, shared with the watchdog thread
 // so a hang artifact can name the in-flight seed, the exact (derived)
 // plans, and — under DPOR — the schedule prefix being replayed, not
@@ -101,8 +173,8 @@ struct LiveState {
 };
 
 struct Artifact {
-  std::string tool = "verify_fuzz";
-  std::string path = "verify_fuzz_failure.txt";
+  std::string tool = "compreg_verify";
+  std::string path = "compreg_verify_failure.txt";
   std::string config_line;
 };
 
@@ -151,21 +223,22 @@ inline void write_artifact(const Artifact& artifact, const char* kind,
 // copy-pasteable replay command, and the conformance analyzer's report
 // of everything observed up to the hang. Then _Exit(2). _Exit skips
 // destructors on purpose — a wedged simulator holds threads that can
-// never be joined.
+// never be joined. A run that finishes destroys the Watchdog, which
+// stops and joins the thread before the state it reads goes away.
 class Watchdog {
  public:
   Watchdog(unsigned timeout_sec, const Artifact& artifact,
            const std::atomic<std::uint64_t>& progress, LiveState& live,
-           ReplayFn replay, std::function<std::string()> conformance_dump)
-      : timeout_sec_(timeout_sec) {
-    if (timeout_sec_ == 0) return;
-    std::thread([this, &artifact, &progress, &live,
-                 replay = std::move(replay),
-                 conformance_dump = std::move(conformance_dump)] {
+           ReplayFn replay, std::function<std::string()> conformance_dump) {
+    if (timeout_sec == 0) return;
+    thread_ = std::thread([this, timeout_sec, &artifact, &progress, &live,
+                           replay = std::move(replay),
+                           conformance_dump = std::move(conformance_dump)] {
       std::uint64_t last = progress.load();
       auto last_change = std::chrono::steady_clock::now();
-      for (;;) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      std::unique_lock<std::mutex> lock(mu_);
+      while (!cv_.wait_for(lock, std::chrono::milliseconds(100),
+                           [this] { return stop_; })) {
         const std::uint64_t now_progress = progress.load();
         if (now_progress != last) {
           last = now_progress;
@@ -173,38 +246,52 @@ class Watchdog {
           continue;
         }
         const auto stalled = std::chrono::steady_clock::now() - last_change;
-        if (stalled >= std::chrono::seconds(timeout_sec_)) {
-          std::uint64_t seed = 0;
-          std::string plan;
-          std::string net_plan;
-          std::string schedule;
-          live.get(seed, plan, net_plan, schedule);
-          std::fprintf(stderr,
-                       "WATCHDOG: no progress for %u s, run is hung "
-                       "(seed %llu); exiting 2\n",
-                       timeout_sec_,
-                       static_cast<unsigned long long>(seed));
-          // The hung execution's workload threads are parked in the
-          // scheduler, so reading the analysis session here is quiet.
-          const std::string dump =
-              conformance_dump ? conformance_dump() : std::string();
-          write_artifact(artifact, "watchdog timeout (hung run)", seed, plan,
-                         net_plan, schedule,
-                         replay(seed, plan, net_plan, schedule),
-                         "the execution at this seed never completed; any "
-                         "conformance report below reflects events up to "
-                         "the hang",
-                         nullptr, dump);
-          std::fflush(stdout);
-          std::fflush(stderr);
-          std::_Exit(kExitWatchdog);
-        }
+        if (stalled < std::chrono::seconds(timeout_sec)) continue;
+        std::uint64_t seed = 0;
+        std::string plan;
+        std::string net_plan;
+        std::string schedule;
+        live.get(seed, plan, net_plan, schedule);
+        std::fprintf(stderr,
+                     "WATCHDOG: no progress for %u s, run is hung "
+                     "(seed %llu); exiting 2\n",
+                     timeout_sec, static_cast<unsigned long long>(seed));
+        // The hung execution's workload threads are parked in the
+        // scheduler, so reading the analysis session here is quiet.
+        const std::string dump =
+            conformance_dump ? conformance_dump() : std::string();
+        write_artifact(artifact, "watchdog timeout (hung run)", seed, plan,
+                       net_plan, schedule,
+                       replay(seed, plan, net_plan, schedule),
+                       "the execution at this seed never completed; any "
+                       "conformance report below reflects events up to "
+                       "the hang",
+                       nullptr, dump);
+        std::fflush(stdout);
+        std::fflush(stderr);
+        std::_Exit(kExitWatchdog);
       }
-    }).detach();
+    });
   }
 
+  ~Watchdog() {
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
  private:
-  unsigned timeout_sec_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
 };
 
 }  // namespace compreg::tools
