@@ -9,6 +9,7 @@
 #include "core/composite_register.h"
 #include "sched/policy.h"
 #include "sched/sim_scheduler.h"
+#include "util/assert.h"
 
 namespace {
 
@@ -37,6 +38,7 @@ Outcome run(const std::vector<int>& script, int w0_writes, int w1_writes) {
     }
   });
   sim.run();
+  COMPREG_CHECK(!policy.divergence(), "script does not fit the execution");
   out.trace = sim.trace();
   return out;
 }

@@ -13,6 +13,7 @@
 #include "core/composite_register.h"
 #include "sched/policy.h"
 #include "sched/sim_scheduler.h"
+#include "util/assert.h"
 
 int main() {
   using Reg = compreg::core::CompositeRegister<std::uint64_t>;
@@ -62,6 +63,7 @@ int main() {
   std::printf("replaying Figure 4(a) — every line is one atomic shared-"
               "register access:\n\n");
   sim.run();
+  COMPREG_CHECK(!policy.divergence(), "script does not fit the execution");
   for (std::size_t i = 0; i < sim.trace().size(); ++i) {
     std::printf("  step %2zu (proc %d): %s\n", i + 1, sim.trace()[i],
                 i < std::size(narration) ? narration[i] : "");

@@ -29,14 +29,23 @@
 // for both, which instantiates the construction on the safe-bit
 // register chain — the entire hierarchy of the literature in one stack
 // (simulator-only; see theory/theory_cell.h).
+//
+// Storage: a Y[0] record keeps seq and ss inline (core::InlineVec, up
+// to kInlineReaders pairs and kInlineComponents items), and each reader
+// slot owns its statement-4/6 buffers b and d, so in steady state a
+// Read allocates nothing and a 0-Write allocates only what its cell's
+// write does (HazardCell: one node per Y[0] write). Levels past the
+// inline bounds fall back to one heap block per record copy.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "core/inline_vec.h"
 #include "core/item.h"
 #include "core/snapshot.h"
 #include "registers/hazard_cell.h"
@@ -65,8 +74,8 @@ class CompositeRegister final : public Snapshot<V> {
     init.item = Item<V>{initial, 0};
     init.wc = 0;
     if (c_ > 1) {
-      init.seq.assign(static_cast<std::size_t>(r_), {0, 0});
-      init.ss.assign(static_cast<std::size_t>(c_), Item<V>{initial, 0});
+      init.seq = Seq(static_cast<std::size_t>(r_), {0, 0});
+      init.ss = Items(static_cast<std::size_t>(c_), init.item);
       z_.reserve(static_cast<std::size_t>(r_));
       for (int j = 0; j < r_; ++j) {
         // Z[j]: written by reader j, read by Writer 0 (one reader).
@@ -76,9 +85,11 @@ class CompositeRegister final : public Snapshot<V> {
       // Y[1..C-1]: the recursion, with reader slot R reserved for
       // Writer 0's snapshots (Figure 2).
       inner_ = std::make_unique<CompositeRegister>(c_ - 1, r_ + 1, initial);
-      w0_.item = init.item;
-      w0_.seq = init.seq;
-      w0_.ss = init.ss;
+      static_cast<Y0&>(w0_) = init;
+      w0_.y.assign(static_cast<std::size_t>(c_ - 1), init.item);
+      const Items inner_items(static_cast<std::size_t>(c_ - 1), init.item);
+      scratch_.resize(static_cast<std::size_t>(r_));
+      for (ReadScratch& slot : scratch_) slot.b = slot.d = inner_items;
     }
     y0_ = std::make_unique<Cell<Y0>>(r_, init, "Y0", y0_bits());
 #ifndef NDEBUG
@@ -112,10 +123,8 @@ class CompositeRegister final : public Snapshot<V> {
     std::uint64_t id;
     if (c_ == 1) {
       // Base case: a 1/B/1/R composite register is an atomic register.
-      Y0 rec;
-      rec.item = Item<V>{value, ++w0_.item.id};
-      rec.wc = 0;
-      y0_->write(rec);
+      w0_.item = Item<V>{value, w0_.item.id + 1};
+      y0_->write(w0_);
       id = w0_.item.id;
     } else {
       id = write0(value);
@@ -131,26 +140,8 @@ class CompositeRegister final : public Snapshot<V> {
   // Read operation (Figure 3, Reader procedure).
   // -------------------------------------------------------------------
   void scan_items(int reader_id, std::vector<Item<V>>& out) override {
-    COMPREG_DCHECK(reader_id >= 0 && reader_id < r_);
-    // audit: exempt(waitfree, Read recursion bounded by C - scan_items/read_general strip one level per call, O(2^C) steps total, paper Theorem 2)
-#ifndef NDEBUG
-    // relaxed: the RMW's atomicity alone detects overlapping scans;
-    // this debug-only guard carries no ordering contract.
-    COMPREG_CHECK(!reader_busy_[reader_id].exchange(true, std::memory_order_relaxed),
-                  "concurrent scans on one reader slot");
-#endif
-    if (c_ == 1) {
-      out.resize(1);
-      out[0] = y0_->read(reader_id).item;
-      // relaxed: monotone stats counter, no ordering contract.
-      stats_base_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      read_general(reader_id, out);
-    }
-#ifndef NDEBUG
-    // relaxed: see the exchange above - debug guard only.
-    reader_busy_[reader_id].store(false, std::memory_order_relaxed);
-#endif
+    out.resize(static_cast<std::size_t>(c_));
+    scan_into(reader_id, out.data());
   }
 
   using Snapshot<V>::scan;
@@ -207,25 +198,38 @@ class CompositeRegister final : public Snapshot<V> {
   }
 
  private:
+  // Inline capacities of a Y[0] record's arrays. A level with more
+  // readers or components still works; its records take the heap path.
+  static constexpr std::size_t kInlineReaders = 16;
+  static constexpr std::size_t kInlineComponents = 8;
+  using Seq = InlineVec<std::array<std::uint8_t, 2>, kInlineReaders>;
+  using Items = InlineVec<Item<V>, kInlineComponents>;
+
   // Y[0]'s record type (Figure 2/3). For the base case C == 1 the seq
-  // and ss vectors stay empty and only item/wc are meaningful.
+  // and ss arrays stay empty and only item/wc are meaningful.
   struct Y0 {
     Item<V> item;
     // seq[j] = {copy 0, copy 1} of reader j's sequence number —
     // transposed from the paper's seq[0..1][0..R-1] for locality.
-    std::vector<std::array<std::uint8_t, 2>> seq;
-    std::vector<Item<V>> ss;  // Writer 0's snapshot, ss[0..C-1]
-    std::uint8_t wc = 0;      // mod-3 write counter
+    Seq seq;
+    Items ss;              // Writer 0's snapshot, ss[0..C-1]
+    std::uint8_t wc = 0;   // mod-3 write counter
   };
 
   // Writer 0's persistent private variables (Figure 3 declares them
   // `private var` with an initialization tied to Y[0]'s initial value).
-  struct Writer0State {
-    Item<V> item;  // val written last, id counter
-    std::vector<std::array<std::uint8_t, 2>> seq;
-    std::vector<Item<V>> ss;
-    std::uint8_t wc = 0;
-    std::vector<Item<V>> y;  // statement 4 snapshot buffer
+  // item, seq, ss and wc are exactly the fields statements 3 and 7
+  // write, so they are kept as a Y0 and written as one.
+  struct Writer0State : Y0 {
+    std::vector<Item<V>> y;  // statement 4 snapshot buffer, C-1 items
+  };
+
+  // Reader slot j's statement-4/6 buffers. One reader at a time per
+  // slot, so one pair per slot suffices; a cache line apiece keeps
+  // concurrent readers off each other's lines.
+  struct alignas(64) ReadScratch {
+    Items b;  // C-1 items
+    Items d;
   };
 
   // Paper: Y[0] stores val(B) + seq (2 copies x R x 2 bits) + ss (C
@@ -235,15 +239,6 @@ class CompositeRegister final : public Snapshot<V> {
     if (c_ == 1) return b;
     return b + 4 * static_cast<std::uint64_t>(r_) +
            static_cast<std::uint64_t>(c_) * b + 2;
-  }
-
-  Y0 make_y0() const {
-    Y0 rec;
-    rec.item = w0_.item;
-    rec.seq = w0_.seq;
-    rec.ss = w0_.ss;
-    rec.wc = w0_.wc;
-    return rec;
   }
 
   static std::uint8_t mod3_plus(std::uint8_t x, std::uint8_t d) {
@@ -270,9 +265,9 @@ class CompositeRegister final : public Snapshot<V> {
     }
     // 3: write Y[0]; seq[1] and ss still hold the previous operation's
     //    values, so this write does not alter Y[0].seq[1] or Y[0].ss.
-    y0_->write(make_y0());
+    y0_->write(w0_);
     // 4: read y := Y[1..C-1]  (snapshot of the other Writers)
-    inner_->scan_items(r_, w0_.y);
+    inner_->scan_into(r_, w0_.y.data());
     // 5: ss[0], ss[k] := item, y[k]
     w0_.ss[0] = w0_.item;
     for (int k = 1; k < c_; ++k) {
@@ -285,13 +280,39 @@ class CompositeRegister final : public Snapshot<V> {
       s[1] = s[0];
     }
     // 7: write Y[0]
-    y0_->write(make_y0());
+    y0_->write(w0_);
     // 8: return
     return w0_.item.id;
   }
 
-  void read_general(int j, std::vector<Item<V>>& out) {
+  // Reads all c_ components into out[0..c_-1] (the Reader procedure of
+  // Figure 3); the inner levels write straight into their caller's
+  // buffers, so no level allocates.
+  void scan_into(int reader_id, Item<V>* out) {
+    COMPREG_DCHECK(reader_id >= 0 && reader_id < r_);
+    // audit: exempt(waitfree, Read recursion bounded by C - scan_into/read_general strip one level per call, O(2^C) steps total, paper Theorem 2)
+#ifndef NDEBUG
+    // relaxed: the RMW's atomicity alone detects overlapping scans;
+    // this debug-only guard carries no ordering contract.
+    COMPREG_CHECK(!reader_busy_[reader_id].exchange(true, std::memory_order_relaxed),
+                  "concurrent scans on one reader slot");
+#endif
+    if (c_ == 1) {
+      out[0] = y0_->read(reader_id).item;
+      // relaxed: monotone stats counter, no ordering contract.
+      stats_base_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      read_general(reader_id, out);
+    }
+#ifndef NDEBUG
+    // relaxed: see the exchange above - debug guard only.
+    reader_busy_[reader_id].store(false, std::memory_order_relaxed);
+#endif
+  }
+
+  void read_general(int j, Item<V>* out) {
     const std::size_t ju = static_cast<std::size_t>(j);
+    ReadScratch& scratch = scratch_[ju];
     // 0: read x := Y[0]
     const Y0 x = y0_->read(j);
     // 1: select newseq differing from Writer 0's two copies
@@ -301,35 +322,26 @@ class CompositeRegister final : public Snapshot<V> {
     // 3: read a := Y[0]
     const Y0 a = y0_->read(j);
     // 4: read b := Y[1..C-1]
-    std::vector<Item<V>> b;
-    inner_->scan_items(j, b);
+    inner_->scan_into(j, scratch.b.data());
     // 5: read c := Y[0]
     const Y0 c = y0_->read(j);
     // 6: read d := Y[1..C-1]
-    std::vector<Item<V>> d;
-    inner_->scan_items(j, d);
+    inner_->scan_into(j, scratch.d.data());
     // 7: read e := Y[0]
     const Y0 e = y0_->read(j);
     // 8: three-way case analysis
-    out.resize(static_cast<std::size_t>(c_));
     if (e.seq[ju][1] == newseq || e.wc == mod3_plus(a.wc, 2)) {
       // Overlapped by "too many" 0-Writes: return an overlapping
       // Write's embedded snapshot.
-      for (int k = 0; k < c_; ++k) {
-        out[static_cast<std::size_t>(k)] = e.ss[static_cast<std::size_t>(k)];
-      }
+      std::copy(e.ss.begin(), e.ss.end(), out);
       stats_adopted_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
     } else if (a.wc == c.wc) {
       out[0] = a.item;
-      for (int k = 1; k < c_; ++k) {
-        out[static_cast<std::size_t>(k)] = b[static_cast<std::size_t>(k - 1)];
-      }
+      std::copy(scratch.b.begin(), scratch.b.end(), out + 1);
       stats_first_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
     } else {  // c.wc == e.wc
       out[0] = c.item;
-      for (int k = 1; k < c_; ++k) {
-        out[static_cast<std::size_t>(k)] = d[static_cast<std::size_t>(k - 1)];
-      }
+      std::copy(scratch.d.begin(), scratch.d.end(), out + 1);
       stats_second_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
     }
     // 9: return
@@ -341,6 +353,7 @@ class CompositeRegister final : public Snapshot<V> {
   std::vector<std::unique_ptr<SmallCell<std::uint8_t>>> z_;
   std::unique_ptr<CompositeRegister> inner_;  // null iff c_ == 1
   Writer0State w0_;                           // Writer 0 private state
+  std::vector<ReadScratch> scratch_;          // per reader slot; empty iff c_ == 1
 
   // Statement-8 outcome counters (see scan_case_stats()).
   // audit: exempt(layout, every reader bumps one of these four on every scan - striping per reader would cost 64B x R per level for debug stats)

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/composite_register.h"
+#include "core/item.h"
 #include "core/snapshot.h"
 #include "util/assert.h"
 
@@ -76,12 +77,15 @@ class PrmwObject {
     snap_->update(process, mine);
   }
 
-  // Exact current value: one atomic scan, folded. Wait-free.
+  // Exact current value: one atomic scan, folded. Wait-free; the scan
+  // buffer is the calling thread's, so a warm read allocates nothing.
   value_type read(int reader_id) {
-    std::vector<value_type> vals;
-    snap_->scan(reader_id, vals);
+    thread_local std::vector<core::Item<value_type>> items;
+    snap_->scan_items(reader_id, items);
     value_type acc = Op::identity();
-    for (value_type v : vals) acc = Op::combine(acc, v);
+    for (const core::Item<value_type>& item : items) {
+      acc = Op::combine(acc, item.val);
+    }
     return acc;
   }
 

@@ -25,12 +25,13 @@ int RoundRobinPolicy::pick(const std::vector<int>& runnable) {
 }
 
 int ScriptPolicy::pick(const std::vector<int>& runnable) {
-  if (pos_ >= script_.size()) return fallback_.pick(runnable);
-  const int want = script_[pos_++];
-  COMPREG_CHECK(std::find(runnable.begin(), runnable.end(), want) !=
-                    runnable.end(),
-                "scripted process %d not runnable at step %zu", want,
-                pos_ - 1);
+  if (divergence_ || pos_ >= script_.size()) return fallback_.pick(runnable);
+  const int want = script_[pos_];
+  if (std::find(runnable.begin(), runnable.end(), want) == runnable.end()) {
+    divergence_ = Divergence{want, pos_};
+    return fallback_.pick(runnable);
+  }
+  ++pos_;
   return want;
 }
 

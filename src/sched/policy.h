@@ -1,7 +1,9 @@
 // Schedule policies: who takes the next atomic step.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/rng.h"
@@ -37,20 +39,32 @@ class RoundRobinPolicy final : public SchedulePolicy {
 };
 
 // Follows an explicit script of process ids (used to reproduce the
-// executions of paper Figure 4); panics if a scripted process is not
-// runnable, and falls back to round-robin when the script is exhausted.
+// executions of paper Figure 4 and to replay DPOR schedules), and falls
+// back to round-robin when the script is exhausted. A script that does
+// not fit the execution — its next process is not runnable — is
+// abandoned at that step: the policy records where (divergence()) and
+// runs round-robin from there, so the run still ends and the caller
+// decides whether that is a usage error or a failed expectation.
 class ScriptPolicy final : public SchedulePolicy {
  public:
+  // The first scripted step that could not be taken.
+  struct Divergence {
+    int process;       // the scripted process id
+    std::size_t step;  // its index in the script, from 0
+  };
+
   explicit ScriptPolicy(std::vector<int> script)
       : script_(std::move(script)) {}
   int pick(const std::vector<int>& runnable) override;
 
   // Steps of the script consumed so far.
   std::size_t position() const { return pos_; }
+  const std::optional<Divergence>& divergence() const { return divergence_; }
 
  private:
   std::vector<int> script_;
   std::size_t pos_ = 0;
+  std::optional<Divergence> divergence_;
   RoundRobinPolicy fallback_;
 };
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 
 namespace compreg::mutants {
@@ -18,6 +19,7 @@ class HiddenLock {
     std::lock_guard<std::mutex> g(mu_);
     v_ = x;
     last_ = new std::uint64_t(x);
+    spare_ = std::allocator<std::uint64_t>().allocate(1);
   }
 
   std::uint64_t get() const {
@@ -29,6 +31,7 @@ class HiddenLock {
   mutable std::mutex mu_;
   std::uint64_t v_{0};
   std::uint64_t* last_{nullptr};
+  std::uint64_t* spare_{nullptr};
 };
 
 }  // namespace compreg::mutants

@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <thread>
+#include <utility>
 
 #include "core/composite_register.h"
 #include "lin/shrinking_checker.h"
@@ -146,6 +147,77 @@ std::vector<SimParam> sim_params() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimPropertySweep,
                          ::testing::ValuesIn(sim_params()));
+
+// Shapes past the Y[0] record's inline bounds (16 readers, 8
+// components), so the heap-fallback storage runs under the checker too:
+// at C = 3, R = 16 the inner levels have 17 and 18 reader slots; at
+// C = 9 the outer record's ss has 9 items. Both Y[0] backends. (The
+// native workload's spin barrier can hang under TSan at 12+ threads on
+// 4 cores, so the free-running check of these shapes is BlobShapes.)
+TEST(CompositePropertyTest, PastInlineBoundsSimHistoryClean) {
+  lin::WorkloadConfig cfg;
+  cfg.writes_per_writer = 6;
+  cfg.scans_per_reader = 6;
+  for (const auto& [c, r] : {std::pair{3, 16}, std::pair{9, 1}}) {
+    const std::uint64_t seed = static_cast<std::uint64_t>(c * 100 + r);
+    sched::RandomPolicy hazard_policy(seed);
+    CompositeRegister<std::uint64_t> hazard(c, r, 0);
+    const lin::CheckResult h = lin::check_shrinking_lemma(
+        lin::run_sim_workload(hazard, hazard_policy, cfg));
+    EXPECT_TRUE(h.ok) << "C=" << c << " R=" << r << ": " << h.violation;
+    sched::RandomPolicy tagged_policy(seed + 1);
+    CompositeRegister<std::uint64_t, registers::TaggedCell> tagged(c, r, 0);
+    const lin::CheckResult t = lin::check_shrinking_lemma(
+        lin::run_sim_workload(tagged, tagged_policy, cfg));
+    EXPECT_TRUE(t.ok) << "tagged C=" << c << " R=" << r << ": "
+                      << t.violation;
+  }
+}
+
+// The 128-byte Blob across components and readers, inside and past the
+// inline bounds: every component of every scan is a whole Blob some
+// Write wrote (or the initial one), tagged with that Write's id, and no
+// reader ever sees a component's id go backwards.
+class BlobShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(BlobShapes, ScansReturnWholeBlobsInOrder) {
+  const auto [c, r] = GetParam();
+  CompositeRegister<Blob> reg(c, r, Blob{});
+  std::vector<std::thread> threads;
+  for (int k = 0; k < c; ++k) {
+    threads.emplace_back([&reg, k] {
+      for (std::uint64_t i = 1; i <= 400; ++i) {
+        Blob b;
+        b.words.fill((static_cast<std::uint64_t>(k + 1) << 32) | i);
+        reg.update(k, b);
+      }
+    });
+  }
+  for (int j = 0; j < r; ++j) {
+    threads.emplace_back([&reg, c, j] {
+      std::vector<Item<Blob>> items;
+      std::vector<std::uint64_t> last(static_cast<std::size_t>(c), 0);
+      for (int n = 0; n < 200; ++n) {
+        reg.scan_items(j, items);
+        ASSERT_EQ(items.size(), static_cast<std::size_t>(c));
+        for (int k = 0; k < c; ++k) {
+          const Item<Blob>& it = items[static_cast<std::size_t>(k)];
+          const std::uint64_t want =
+              it.id == 0 ? 0
+                         : (static_cast<std::uint64_t>(k + 1) << 32) | it.id;
+          for (std::uint64_t w : it.val.words) ASSERT_EQ(w, want);
+          ASSERT_GE(it.id, last[static_cast<std::size_t>(k)]);
+          last[static_cast<std::size_t>(k)] = it.id;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BlobShapes,
+                         ::testing::Values(std::pair{3, 2}, std::pair{3, 16},
+                                           std::pair{9, 1}));
 
 // Reader-slot independence: concurrent scans on distinct slots do not
 // perturb each other's exact op counts (wait-freedom is per-slot).

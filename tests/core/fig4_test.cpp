@@ -80,6 +80,7 @@ Fig4Run run_script(const std::vector<int>& script, int w0_writes,
     }
   });
   sim.run();
+  EXPECT_FALSE(policy.divergence()) << "script does not fit the execution";
   out.history = rec.merge();
   return out;
 }

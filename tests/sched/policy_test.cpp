@@ -52,6 +52,21 @@ TEST(ScriptPolicyTest, FollowsScriptThenFallsBack) {
   EXPECT_EQ(policy.pick({0, 1, 2}), 1);
 }
 
+TEST(ScriptPolicyTest, RecordsDivergenceAndFallsBack) {
+  ScriptPolicy policy({1, 3, 2});
+  EXPECT_EQ(policy.pick({0, 1, 2}), 1);
+  EXPECT_FALSE(policy.divergence());
+  // Process 3 is not runnable: the script is abandoned at step 1.
+  EXPECT_EQ(policy.pick({0, 1, 2}), 0);
+  ASSERT_TRUE(policy.divergence());
+  EXPECT_EQ(policy.divergence()->process, 3);
+  EXPECT_EQ(policy.divergence()->step, 1u);
+  EXPECT_EQ(policy.position(), 1u);
+  // Round-robin from here on, even where the script would fit again.
+  EXPECT_EQ(policy.pick({0, 1, 2}), 1);
+  EXPECT_EQ(policy.position(), 1u);
+}
+
 TEST(PctPolicyTest, DeterministicAndValid) {
   PctPolicy a(99, 3, 2, 100);
   PctPolicy b(99, 3, 2, 100);

@@ -12,7 +12,8 @@ every non-constructor function of the audited trees:
   * sleeps and yields (sleep_for, sleep_until, usleep, nanosleep,
     this_thread::yield);
   * dynamic allocation: `new`, malloc/calloc/realloc, make_unique /
-    make_shared (the general-purpose allocator takes locks).
+    make_shared, an allocator's .allocate() (the general-purpose
+    allocator takes locks).
 
 Constructors and destructors are skipped: they run before the object is
 shared (or after), so allocation and locking there cannot stall a
@@ -51,6 +52,8 @@ _PATTERNS = (
     (re.compile(r"\b(make_unique|make_shared|malloc|calloc|realloc)\s*"
                 r"[<(]"),
      "allocates via {0} — the allocator may take locks"),
+    (re.compile(r"(?:\.|->|::)\s*(allocate)\s*\("),
+     "allocates via an allocator's {0}() — the allocator may take locks"),
 )
 
 

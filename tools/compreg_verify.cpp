@@ -46,7 +46,9 @@
 //     witness is byte-identical across --jobs values; --certificate FILE
 //     writes a timing-free certificate the suite diffs across --jobs 1/8.
 //   --schedule CSV replays ONE exact schedule (the artifact's
-//     "# schedule" line) instead of exploring.
+//     "# schedule" line) instead of exploring; a schedule that does not
+//     fit the configuration (a listed process cannot step there) is a
+//     usage error.
 //
 // Fault injection works the same way in both modes. --plan (grammar in
 // docs/fault_model.md) fixes a crash/stall/hang plan; otherwise
@@ -816,17 +818,26 @@ int run_dpor(const Options& o) {
 
   // Runs and checks one exact schedule on this thread (worker 0's
   // session): the --schedule mode, and the report of a failing schedule.
+  // A schedule that names a process which cannot step there does not
+  // describe an execution of this configuration: a usage error.
   const auto replay = [&](const std::vector<int>& script) -> int {
     live.set(o.seed, text(plans.proc), text(plans.net), schedule_csv(script));
     sched::ScriptPolicy policy(script);
     const Execution ex = run_sim(o, policy, plans, o.seed, *sessions[0]);
     progress.fetch_add(1);
+    if (const auto& off = policy.divergence()) {
+      std::fprintf(stderr,
+                   "bad --schedule: %s (process %d is not runnable at step "
+                   "%zu, counting from 0)\n",
+                   schedule_csv(script).c_str(), off->process, off->step);
+      return kExitUsage;
+    }
     const Verdict v = check_execution(o, ex);
     if (v.ok()) return 0;
     return report_failure(o, v, o.seed, plans, schedule_csv(script), ex);
   };
   if (!o.schedule.empty()) {
-    if (replay(o.schedule) != 0) return kExitViolation;
+    if (const int code = replay(o.schedule); code != 0) return code;
     std::printf("replayed schedule passes (%zu scripted steps)\n",
                 o.schedule.size());
     return 0;
